@@ -30,6 +30,7 @@ from .field_grid import (
 from .quantum_correlations import discord_curve, write_discord_csv
 from .spiral_imaging import (
     clover_object,
+    image_grid,
     image_spectrum,
     load_object,
     object_spectrum,
@@ -48,7 +49,7 @@ from .thermal_source import (
     write_marginal_csv,
     write_spectrum_csv,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, _csd_deviations, run_suite
 
 __all__ = [
     "DEFAULTS",
@@ -328,17 +329,13 @@ def _run_spectrum(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _image_grid(config: RunConfig, beam: BeamSpec) -> GridSpec:
-    if config.extent is not None:
-        return GridSpec(config.grid, config.extent)
-    half = 4.0 * max(beam.width(config.z1), beam.width(config.z2), config.clover_radius)
-    return GridSpec(config.grid, 2.0 * half)
-
-
 def _run_image(config: RunConfig) -> int:
     geo = source_geometry(config.sigma_s, config.sigma_g)
     beam = BeamSpec(geo.matched_waist, config.wavelength)
-    spec = _image_grid(config, beam)
+    if config.extent is not None:
+        spec = GridSpec(config.grid, config.extent)
+    else:
+        spec = image_grid(beam, config.z1, config.z2, config.clover_radius, config.grid)
     if config.object_path is not None:
         inten = read_pgm(config.object_path)
         phase = read_pgm(config.phase_path) if config.phase_path is not None else None
@@ -423,17 +420,7 @@ def _run_oracle_csd(config: RunConfig) -> int:
         fh.write("\n".join(lines) + "\n")
 
     f0 = tensor.coefficient(0, 0, 0, 0).real
-    off = 0.0
-    dev = 0.0
-    for l1 in order:
-        for p1 in range(pm + 1):
-            for l2 in order:
-                for p2 in range(pm + 1):
-                    f = tensor.coefficient(l1, l2, p1, p2)
-                    if l2 == -l1 and p2 == p1:
-                        dev = max(dev, abs(f.real / f0 - geo.t ** (abs(l1) + 2 * p1)))
-                    else:
-                        off = max(off, abs(f) / f0)
+    off, dev = _csd_deviations(tensor, geo.t)
     print(f"grid: {spec.side_points} points over {spec.extent:.6e} m; f0000 = {f0:.9e}")
     print(f"max off-selection |f|/f0000 = {off:.3e}; "
           f"max diagonal deviation from t^(|l|+2p): {dev:.3e}")

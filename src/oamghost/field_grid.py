@@ -4,6 +4,13 @@ All lengths are SI meters. Rasters hold dimensionless complex amplitudes sampled
 at pixel centers, with row 0 at the top of the window (largest y). Discrete
 inner products use the midpoint rule, so a mode that fits inside the window has
 unit discrete norm.
+
+There are two LG evaluators. lg_amplitude evaluates one mode at arbitrary
+polar points and serves as the independent pointwise oracle. _lg_blocks is
+the separable raster engine: an LG mode factors as radial(|l|, p) x
+exp(i l phi) x curvature chirp x Gouy phase, so one radial stack per |l|
+serves every p and both signs of l. Decomposition and synthesis in
+spiral_imaging run on it directly; iter_lg_rasters is its per-mode view.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 OAMF_MAGIC = b"OAMF"
 OAMF_VERSION = 1
@@ -31,7 +37,6 @@ __all__ = [
     "iter_lg_rasters",
     "lg_amplitude",
     "read_field",
-    "sample_lg",
     "write_field",
 ]
 
@@ -141,9 +146,13 @@ class BeamSpec:
 
 
 def _log_norm(l_abs: int, p: int) -> float:
-    # sqrt(2 p! / (pi (p+|l|)!)) evaluated in log space; exact for small orders,
-    # overflow-free for large ones.
-    return 0.5 * (math.log(2.0) + gammaln(p + 1) - math.log(math.pi) - gammaln(p + l_abs + 1))
+    # log sqrt(2 p! / (pi (p+|l|)!)); overflow-free for large orders.
+    return 0.5 * (math.log(2.0 / math.pi) + math.lgamma(p + 1) - math.lgamma(p + l_abs + 1))
+
+
+def _mode_radius(beam: BeamSpec, z: float, l_abs: int, p: int) -> float:
+    """Classical radius w(z) sqrt(2p + |l| + 1) of LG(l, p) in plane z."""
+    return beam.width(z) * math.sqrt(2.0 * p + l_abs + 1.0)
 
 
 def lg_amplitude(mode: ModeIndex, beam: BeamSpec, radius, azimuth, z: float = 0.0):
@@ -158,8 +167,12 @@ def lg_amplitude(mode: ModeIndex, beam: BeamSpec, radius, azimuth, z: float = 0.
         lg_amplitude(-l, p, rho, phi, z) == conj(lg_amplitude(l, p, rho, phi, -z))
 
     holds to floating-point roundoff. Normalization is per unit transverse
-    area: the continuum self-overlap of every mode is 1.
+    area: the continuum self-overlap of every mode is 1. The factor
+    norm (sqrt(2) rho/w)^|l| exp(-rho^2/w^2) is formed in log space, so high
+    orders far from the axis stay finite.
     """
+    from scipy.special import eval_genlaguerre, xlogy
+
     r = np.asarray(radius, dtype=float)
     phi = np.asarray(azimuth, dtype=float)
     l_abs = abs(mode.l)
@@ -175,94 +188,98 @@ def lg_amplitude(mode: ModeIndex, beam: BeamSpec, radius, azimuth, z: float = 0.
         curvature = beam.wavenumber / (2.0 * big_r)
         gouy = (2 * p + l_abs + 1) * math.atan2(z, zr)
     r2 = r * r
-    radial = (
-        math.exp(_log_norm(l_abs, p)) / w
-        * (math.sqrt(2.0) * r / w) ** l_abs
-        * eval_genlaguerre(p, l_abs, 2.0 * r2 / (w * w))
-        * np.exp(-r2 / (w * w))
-    )
+    envelope = np.exp(_log_norm(l_abs, p) + xlogy(l_abs, math.sqrt(2.0) * r / w) - r2 / (w * w))
+    radial = envelope / w * eval_genlaguerre(p, l_abs, 2.0 * r2 / (w * w))
     phase = mode.l * phi + curvature * r2 - gouy
     return radial * np.exp(1j * phase)
 
 
-def sample_lg(mode: ModeIndex, beam: BeamSpec, spec: GridSpec, z: float = 0.0) -> ComplexField:
-    """Rasterize an LG mode at every pixel center of the window.
+def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int):
+    """Separable LG engine: yield one block per |l| = 0, 1, ..., l_max.
 
-    Warns with ModeClippedWarning when the mode's characteristic radius
-    w(z) sqrt(|l|/2 + p) exceeds the window half-extent; the samples are still
-    returned (clipping degrades discrete norms, it is not an error).
+    Each block is (radial, harmonic, gouy, chirp) with, over the flattened
+    pixels of the window,
+
+        LG(+-|l|, p) = radial[p] * (harmonic or conj(harmonic)) * gouy[p] * chirp
+
+    - radial: real (p_max + 1, N^2) normalized radial factors, built with the
+      three-term Laguerre recurrence (Abramowitz & Stegun 22.7.12) with the
+      normalization carried inside it, so nothing overflows;
+    - harmonic: exp(i |l| phi), by repeated multiplication;
+    - gouy: the (p_max + 1,) Gouy phases exp(-i (2p + |l| + 1) arctan(z/zR));
+    - chirp: the curvature phase exp(i k rho^2 / 2R(z)), or None at z = 0.
+
+    The radial buffer is overwritten by the next block; copy what must outlive
+    it. Emits one ModeClippedWarning when the largest mode of the lattice,
+    LG(l_max, p_max), spills past the window by the _mode_radius rule.
     """
-    width = beam.width(z)
-    mode_radius = width * math.sqrt(abs(mode.l) / 2.0 + mode.p)
-    if mode_radius > 0.5 * spec.extent:
+    radius = _mode_radius(beam, z, l_max, p_max)
+    if radius > 0.5 * spec.extent:
         warnings.warn(
-            f"LG(l={mode.l}, p={mode.p}) at z={z:g} m has radius ~{mode_radius:.3g} m, "
+            f"modes up to LG(l={l_max}, p={p_max}) at z={z:g} m reach radius {radius:.3g} m, "
             f"clipped by window half-extent {0.5 * spec.extent:.3g} m",
             ModeClippedWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+
     r, phi = spec.polar()
-    return ComplexField(spec, lg_amplitude(mode, beam, r, phi, z))
-
-
-def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
-    """Yield (mode, raster) for each requested mode, sharing common factors.
-
-    Produces the same values as sample_lg to roundoff but amortizes the
-    coordinate transforms, Gaussian envelope, curvature phase and azimuthal
-    phase powers over the whole mode set. Emits a single aggregated
-    ModeClippedWarning when some of the modes do not fit the window. Yielded
-    rasters are freshly allocated and safe to keep.
-    """
-    modes = [m if isinstance(m, ModeIndex) else ModeIndex(*m) for m in modes]
+    r2 = (r * r).ravel()
     w = beam.width(z)
-    clipped = [m for m in modes if w * math.sqrt(abs(m.l) / 2.0 + m.p) > 0.5 * spec.extent]
-    if clipped:
-        worst = max(clipped, key=lambda m: abs(m.l) / 2.0 + m.p)
-        warnings.warn(
-            f"{len(clipped)} of {len(modes)} modes clipped by the window "
-            f"(largest: l={worst.l}, p={worst.p})",
-            ModeClippedWarning,
-            stacklevel=2,
-        )
-
-    r, phi = spec.polar()
     zr = beam.rayleigh_range
     if z == 0.0:
-        plane = None
+        chirp = None
         psi = 0.0
     else:
         big_r = z * (1.0 + (zr / z) ** 2)
-        plane = np.exp(1j * (beam.wavenumber / (2.0 * big_r)) * (r * r))
+        chirp = np.exp(1j * (beam.wavenumber / (2.0 * big_r)) * r2)
         psi = math.atan2(z, zr)
-    r2 = r * r
     x = 2.0 * r2 / (w * w)
-    gauss = np.exp(-r2 / (w * w))
-    rad_unit = math.sqrt(2.0) * r / w
-    eiphi = np.exp(1j * phi)
-    azim_pow = [np.ones_like(eiphi)]
+    sqrt_x = np.sqrt(x)
+    eiphi = np.exp(1j * phi.ravel())
+    orders = 2 * np.arange(p_max + 1) + 1
 
-    def azimuthal(l: int) -> np.ndarray:
-        l_abs = abs(l)
-        while len(azim_pow) <= l_abs:
-            azim_pow.append(azim_pow[-1] * eiphi)
-        return azim_pow[l_abs] if l >= 0 else np.conj(azim_pow[l_abs])
+    radial = np.empty((p_max + 1, x.size))
+    u0 = math.sqrt(2.0 / math.pi) / w * np.exp(-0.5 * x)
+    harmonic = np.ones_like(eiphi)
+    for a in range(l_max + 1):
+        if a:
+            u0 *= sqrt_x
+            u0 /= math.sqrt(a)
+            harmonic = harmonic * eiphi
+        radial[0] = u0
+        for p in range(p_max):
+            nxt = (2 * p + 1 + a - x) * radial[p]
+            if p:
+                nxt -= math.sqrt(p * (p + a)) * radial[p - 1]
+            nxt /= math.sqrt((p + 1) * (p + 1 + a))
+            radial[p + 1] = nxt
+        yield radial, harmonic, np.exp(-1j * (orders + a) * psi), chirp
 
-    for mode in modes:
-        l_abs = abs(mode.l)
-        p = mode.p
-        radial = (
-            math.exp(_log_norm(l_abs, p)) / w
-            * rad_unit ** l_abs
-            * eval_genlaguerre(p, l_abs, x)
-            * gauss
-        )
-        out = radial * azimuthal(mode.l)
-        if plane is not None:
-            out = out * plane
-        if psi != 0.0:
-            out = out * np.exp(-1j * (2 * p + l_abs + 1) * psi)
-        yield mode, out
+
+def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
+    """Yield (mode, raster) for each requested mode, grouped by |l| ascending.
+
+    Per-mode view of _lg_blocks, the separable engine behind the imaging
+    functions: radial factors are built once per |l| over the lattice that
+    spans the requested modes, and that lattice's largest mode decides the
+    ModeClippedWarning. Yielded rasters are freshly allocated (N, N) arrays
+    and safe to keep.
+    """
+    modes = [m if isinstance(m, ModeIndex) else ModeIndex(*m) for m in modes]
+    if not modes:
+        return
+    l_max = max(abs(m.l) for m in modes)
+    p_max = max(m.p for m in modes)
+    shape = (spec.side_points, spec.side_points)
+    blocks = _lg_blocks(beam, spec, z, l_max, p_max)
+    for l_abs, (radial, harmonic, gouy, chirp) in enumerate(blocks):
+        for mode in modes:
+            if abs(mode.l) != l_abs:
+                continue
+            out = radial[mode.p] * (harmonic if mode.l >= 0 else np.conj(harmonic)) * gouy[mode.p]
+            if chirp is not None:
+                out *= chirp
+            yield mode, out.reshape(shape)
 
 
 def inner_product(a: ComplexField, b: ComplexField) -> complex:
@@ -290,14 +307,14 @@ def default_grid(
 ) -> GridSpec:
     """Window sized to hold every mode up to (l_max, p_max) at plane z.
 
-    The half-extent is the classical mode radius w(z) sqrt(2 p_max + l_max + 1)
+    The half-extent is the classical radius (_mode_radius) of LG(l_max, p_max)
     with a Gaussian-tail margin, never less than 4 beam radii (extent >= 8
     waists). ``other_scale`` (e.g. an object radius) widens the window to at
     least 4 times that scale.
     """
     w = beam.width(z)
     half = max(
-        w * (1.25 * math.sqrt(2.0 * p_max + l_max + 1.0) + 2.0),
+        1.25 * _mode_radius(beam, z, l_max, p_max) + 2.0 * w,
         4.0 * w,
         4.0 * other_scale,
     )

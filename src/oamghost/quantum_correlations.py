@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from .thermal_source import SourceGeometry, SpiralSpectrum, build_spectrum, full_lattice_sums, source_geometry
 
@@ -33,7 +31,6 @@ __all__ = [
     "robustness_full_lattice",
     "separability_decomposition",
     "write_discord_csv",
-    "write_operator_csv",
 ]
 
 
@@ -207,6 +204,9 @@ def brute_force_discord(
     rho must be the trace-normalized density operator on the A-major product
     basis, with side-B dimension dim_b.
     """
+    from scipy.linalg import expm
+    from scipy.optimize import minimize
+
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"rho must be square, got shape {rho.shape}")
@@ -272,14 +272,3 @@ def write_discord_csv(path, rows) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def write_operator_csv(path, operator: np.ndarray) -> None:
-    """Dump nonzero entries of a dense operator as CSV rows row,col,re,im."""
-    arr = np.asarray(operator)
-    lines = ["row,col,re,im"]
-    rows, cols = np.nonzero(arr)
-    for r, c in zip(rows, cols):
-        v = complex(arr[r, c])
-        lines.append(f"{r},{c},{v.real:.17g},{v.imag:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -14,19 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_grid import (
-    BeamSpec,
-    ComplexField,
-    GridSpec,
-    ModeIndex,
-    iter_lg_rasters,
-)
+from .field_grid import BeamSpec, ComplexField, GridSpec, _lg_blocks
 from .thermal_source import SpiralSpectrum, SourceGeometry, build_spectrum
 
 __all__ = [
     "GhostImageResult",
     "ModeCoefficients",
     "clover_object",
+    "image_grid",
     "image_spectrum",
     "load_object",
     "object_spectrum",
@@ -141,16 +136,38 @@ def clover_object(spec: GridSpec, radius: float, phase_depth: float = math.pi / 
     return ComplexField(spec, samples)
 
 
+def image_grid(beam: BeamSpec, z1: float, z2: float, object_scale: float, side_points: int) -> GridSpec:
+    """Imaging window: half-extent 4 max(w(z1), w(z2), object_scale)."""
+    half = 4.0 * max(beam.width(z1), beam.width(z2), object_scale)
+    return GridSpec(side_points, 2.0 * half)
+
+
+def _check_truncation(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> None:
+    if (coeffs.l_max, coeffs.p_max) != (spectrum.l_max, spectrum.p_max):
+        raise ValueError(
+            f"truncation mismatch: coefficients ({coeffs.l_max}, {coeffs.p_max}) "
+            f"vs spectrum ({spectrum.l_max}, {spectrum.p_max})"
+        )
+
+
 def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_max: int) -> ModeCoefficients:
-    """Overlap coefficients of the object against LG modes at plane -z1."""
+    """Overlap coefficients of the object against LG modes at plane -z1.
+
+    One real matrix product per |l| gives the +|l| and -|l| rows together.
+    """
     if l_max < 0 or p_max < 0:
         raise ValueError("l_max and p_max must be nonnegative")
     plane = -float(z1)
     values = np.zeros((2 * l_max + 1, p_max + 1), dtype=complex)
-    area = obj.spec.pixel_area
-    modes = [ModeIndex(l, p) for l in range(-l_max, l_max + 1) for p in range(p_max + 1)]
-    for mode, raster in iter_lg_rasters(beam, obj.spec, plane, modes):
-        values[mode.l + l_max, mode.p] = np.vdot(raster, obj.samples) * area
+    target = obj.samples.ravel() * obj.spec.pixel_area
+    blocks = _lg_blocks(beam, obj.spec, plane, l_max, p_max)
+    for l, (radial, harmonic, gouy, chirp) in enumerate(blocks):
+        base = target if chirp is None else target * np.conj(chirp)
+        plus = base * np.conj(harmonic)
+        minus = base * harmonic
+        parts = radial @ np.stack([plus.real, plus.imag, minus.real, minus.imag], axis=1)
+        values[l_max + l] = np.conj(gouy) * (parts[:, 0] + 1j * parts[:, 1])
+        values[l_max - l] = np.conj(gouy) * (parts[:, 2] + 1j * parts[:, 3])
     return ModeCoefficients(l_max, p_max, values, plane, beam)
 
 
@@ -161,27 +178,25 @@ def image_spectrum(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> ModeCo
     l-flipped conjugated object table. The recorded plane is the balanced
     synthesis plane -A.plane; render_pure_image takes its plane explicitly.
     """
-    if (coeffs.l_max, coeffs.p_max) != (spectrum.l_max, spectrum.p_max):
-        raise ValueError(
-            f"truncation mismatch: coefficients ({coeffs.l_max}, {coeffs.p_max}) "
-            f"vs spectrum ({spectrum.l_max}, {spectrum.p_max})"
-        )
+    _check_truncation(coeffs, spectrum)
     values = spectrum.amplitudes * np.conj(coeffs.values[::-1, :])
     return ModeCoefficients(coeffs.l_max, coeffs.p_max, values, -coeffs.plane, coeffs.beam)
 
 
 def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> ComplexField:
     """Coherent sum of coefficient-weighted LG modes at plane +z2."""
-    acc = np.zeros((spec.side_points, spec.side_points), dtype=complex)
-    live = [
-        ModeIndex(l, p)
-        for l in range(-coeffs.l_max, coeffs.l_max + 1)
-        for p in range(coeffs.p_max + 1)
-        if coeffs.values[l + coeffs.l_max, p] != 0
-    ]
-    for mode, raster in iter_lg_rasters(coeffs.beam, spec, float(z2), live):
-        acc += coeffs.values[mode.l + coeffs.l_max, mode.p] * raster
-    return ComplexField(spec, acc)
+    l_max = coeffs.l_max
+    acc = np.zeros(spec.side_points ** 2, dtype=complex)
+    blocks = _lg_blocks(coeffs.beam, spec, float(z2), l_max, coeffs.p_max)
+    for l, (radial, harmonic, gouy, chirp) in enumerate(blocks):
+        plus = coeffs.values[l_max + l] * gouy
+        minus = coeffs.values[l_max - l] * gouy
+        parts = np.stack([plus.real, plus.imag, minus.real, minus.imag]) @ radial
+        block = harmonic * (parts[0] + 1j * parts[1])
+        if l:
+            block += np.conj(harmonic) * (parts[2] + 1j * parts[3])
+        acc += block if chirp is None else block * chirp
+    return ComplexField(spec, acc.reshape(spec.side_points, spec.side_points))
 
 
 def render_background(
@@ -194,26 +209,17 @@ def render_background(
 
     weight = sum P |A|^2 over the truncation; the raster is
     weight * sum_{l', p'} P_{l', p'} |LG_{l', p'}(rho, z2)|^2, azimuthally
-    symmetric because every |LG|^2 is.
+    symmetric because every |LG|^2 is purely radial.
     """
-    if (coeffs.l_max, coeffs.p_max) != (spectrum.l_max, spectrum.p_max):
-        raise ValueError(
-            f"truncation mismatch: coefficients ({coeffs.l_max}, {coeffs.p_max}) "
-            f"vs spectrum ({spectrum.l_max}, {spectrum.p_max})"
-        )
+    _check_truncation(coeffs, spectrum)
+    l_max = spectrum.l_max
     weight = float(np.sum(spectrum.amplitudes * np.abs(coeffs.values) ** 2))
-    mix = np.zeros((spec.side_points, spec.side_points))
-    live = [
-        ModeIndex(l, p)
-        for l in range(-spectrum.l_max, spectrum.l_max + 1)
-        for p in range(spectrum.p_max + 1)
-        if spectrum.amplitudes[l + spectrum.l_max, p] != 0
-    ]
-    for mode, raster in iter_lg_rasters(coeffs.beam, spec, float(z2), live):
-        mix += spectrum.amplitudes[mode.l + spectrum.l_max, mode.p] * (
-            raster.real ** 2 + raster.imag ** 2
-        )
-    return weight * mix, weight
+    mix = np.zeros(spec.side_points ** 2)
+    blocks = _lg_blocks(coeffs.beam, spec, float(z2), l_max, spectrum.p_max)
+    for l, (radial, _, _, _) in enumerate(blocks):
+        amps = spectrum.amplitudes[l_max + l] + (spectrum.amplitudes[l_max - l] if l else 0.0)
+        mix += amps @ (radial * radial)
+    return weight * mix.reshape(spec.side_points, spec.side_points), weight
 
 
 def render_total(
@@ -229,30 +235,17 @@ def render_total(
     """Full two-term ghost image of the object.
 
     Decomposes the object at -z1 with the matched-waist beam, filters by the
-    thermal spiral spectrum, and synthesizes both terms at +z2 in a single
-    pass over the mode set. The object is decomposed on its own grid; the
-    output rasters live on `spec` (usually the same grid).
+    thermal spiral spectrum, and synthesizes the pure term and the background
+    at +z2. The object is decomposed on its own grid; the output rasters live
+    on `spec` (usually the same grid).
     """
     beam = BeamSpec(geometry.matched_waist, wavelength)
     spectrum = build_spectrum(geometry, l_max, p_max)
     coeffs = object_spectrum(obj, beam, z1, l_max, p_max)
-    image = image_spectrum(coeffs, spectrum)
-    weight = float(np.sum(spectrum.amplitudes * np.abs(coeffs.values) ** 2))
-
-    pure = np.zeros((spec.side_points, spec.side_points), dtype=complex)
-    mix = np.zeros((spec.side_points, spec.side_points))
-    modes = [ModeIndex(l, p) for l in range(-l_max, l_max + 1) for p in range(p_max + 1)]
-    for mode, raster in iter_lg_rasters(beam, spec, float(z2), modes):
-        b = image.values[mode.l + l_max, mode.p]
-        if b != 0:
-            pure += b * raster
-        a = spectrum.amplitudes[mode.l + l_max, mode.p]
-        if a != 0:
-            mix += a * (raster.real ** 2 + raster.imag ** 2)
-
-    background = weight * mix
-    total = background + pure.real ** 2 + pure.imag ** 2
-    return GhostImageResult(ComplexField(spec, pure), background, total, weight)
+    pure = render_pure_image(image_spectrum(coeffs, spectrum), spec, z2)
+    background, weight = render_background(coeffs, spectrum, spec, z2)
+    total = background + pure.samples.real ** 2 + pure.samples.imag ** 2
+    return GhostImageResult(pure, background, total, weight)
 
 
 def write_image_spectrum_csv(path, object_coeffs: ModeCoefficients, image_coeffs: ModeCoefficients) -> None:

@@ -269,7 +269,8 @@ def csd_mode_decompose(
 
     partials = np.empty((n_modes, spec.side_points ** 2), dtype=complex)
     raster_conj = np.empty_like(partials)
-    for i, (mode, raster) in enumerate(iter_lg_rasters(beam, spec, 0.0, modes)):
+    for mode, raster in iter_lg_rasters(beam, spec, 0.0, modes):
+        i = (mode.l + l_max) * (p_max + 1) + mode.p
         f1 = envelope * np.conj(raster)
         if coherent:
             g = np.full_like(f1, f1.sum())

@@ -1,9 +1,12 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oamghost
 from oamghost.cli import (
     DEFAULTS,
     EXIT_IO,
@@ -71,6 +74,14 @@ def test_nonpositive_length_rejected():
         parse_config(["image", "--grid", "1"])
     with pytest.raises(UsageError, match="suite"):
         parse_config(["verify", "--suite", "bogus"])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the pointwise LG oracle and the discord search; a CLI
+    # run that needs neither should not pay for importing it.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oamghost.__file__)))
+    code = "import sys, oamghost.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_usage_exit_codes(tmp_path, capsys):
@@ -221,6 +232,10 @@ def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path)]) == EXIT_VERIFY
     msg = capsys.readouterr().out
     assert "[FAIL] sum-squares" in msg
+    # a single-mode truncation has no off-selection entries, which is a pass
+    assert main(["verify", "--suite", "csd-oracle", "--l-max", "0", "--p-max", "0",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert "5/5 checks passed" in capsys.readouterr().out
 
 
 def test_verify_forwards_only_explicit_parameters(tmp_path, capsys):

@@ -15,12 +15,17 @@ from oamghost.field_grid import (
     iter_lg_rasters,
     lg_amplitude,
     read_field,
-    sample_lg,
     write_field,
 )
 
 WAIST = 1e-3
 BEAM = BeamSpec(WAIST)
+
+
+def sample(mode, spec, z=0.0):
+    """Pointwise oracle lg_amplitude evaluated at every pixel center."""
+    r, phi = spec.polar()
+    return ComplexField(spec, lg_amplitude(mode, BEAM, r, phi, z))
 
 
 def test_grid_spec_axis_and_pitch():
@@ -140,28 +145,30 @@ def test_winding_number():
 def test_sampled_mode_norm():
     spec = default_grid(BEAM, l_max=4, p_max=3)
     for mode in (ModeIndex(0, 0), ModeIndex(4, 3), ModeIndex(-3, 1)):
-        f = sample_lg(mode, BEAM, spec)
+        f = sample(mode, spec)
         assert f.norm() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_norm_preserved_off_focus():
     z = 0.4 * BEAM.rayleigh_range
     spec = default_grid(BEAM, l_max=2, p_max=2, z=z)
-    f = sample_lg(ModeIndex(2, 2), BEAM, spec, z)
+    f = sample(ModeIndex(2, 2), spec, z)
     assert f.norm() == pytest.approx(1.0, abs=1e-3)
 
 
 def test_clip_warning_on_small_window():
     spec = GridSpec(64, 2.0 * WAIST)
-    with pytest.warns(ModeClippedWarning):
-        sample_lg(ModeIndex(8, 3), BEAM, spec)
+    # LG(0, 1) has classical radius w sqrt(3) > w; a rule of w sqrt(|l|/2 + p) missed it
+    for mode in (ModeIndex(8, 3), ModeIndex(0, 1)):
+        with pytest.warns(ModeClippedWarning):
+            list(iter_lg_rasters(BEAM, spec, 0.0, [mode]))
 
 
 def test_inner_product_orthonormality_and_symmetry():
     spec = default_grid(BEAM, l_max=1, p_max=1)
-    f00 = sample_lg(ModeIndex(0, 0), BEAM, spec)
-    f01 = sample_lg(ModeIndex(0, 1), BEAM, spec)
-    f11 = sample_lg(ModeIndex(1, 1), BEAM, spec)
+    f00 = sample(ModeIndex(0, 0), spec)
+    f01 = sample(ModeIndex(0, 1), spec)
+    f11 = sample(ModeIndex(1, 1), spec)
     assert inner_product(f00, f00) == pytest.approx(1.0, abs=1e-9)
     assert abs(inner_product(f00, f01)) < 1e-9
     assert abs(inner_product(f00, f11)) < 1e-9
@@ -179,7 +186,7 @@ def test_inner_product_grid_mismatch():
 
 def test_intensity_and_phase_of_vortex():
     spec = GridSpec(64, 6.0 * WAIST)
-    f = sample_lg(ModeIndex(1, 0), BEAM, spec)
+    f = sample(ModeIndex(1, 0), spec)
     inten, phase = intensity_and_phase(f)
     np.testing.assert_allclose(inten, np.abs(f.samples) ** 2)
     _, phi = spec.polar()
@@ -191,9 +198,28 @@ def test_iter_matches_sample():
     z = 0.7 * BEAM.rayleigh_range
     modes = [ModeIndex(l, p) for l in (-2, 0, 3) for p in (0, 2)]
     bulk = dict(iter_lg_rasters(BEAM, spec, z, modes))
+    assert set(bulk) == set(modes)
     for mode in modes:
-        single = sample_lg(mode, BEAM, spec, z)
+        single = sample(mode, spec, z)
         np.testing.assert_allclose(bulk[mode], single.samples, atol=1e-12)
+
+
+def test_lg_amplitude_finite_at_high_order():
+    r = np.linspace(0.0, 12.0 * WAIST, 49)
+    for l in (250, 300):
+        f = lg_amplitude(ModeIndex(l, 4), BEAM, r, 0.3, 0.5 * BEAM.rayleigh_range)
+        assert np.all(np.isfinite(f.real)) and np.all(np.isfinite(f.imag))
+        assert np.max(np.abs(f)) > 0.0
+
+
+def test_iter_matches_oracle_at_high_order():
+    spec = GridSpec(64, 48.0 * WAIST)
+    r, phi = spec.polar()
+    for z in (0.0, 0.7 * BEAM.rayleigh_range):
+        modes = [ModeIndex(s * l, p) for l in (200, 250, 300) for p in (0, 3) for s in (1, -1)]
+        for mode, raster in iter_lg_rasters(BEAM, spec, z, modes):
+            ref = lg_amplitude(mode, BEAM, r, phi, z)
+            assert np.max(np.abs(raster - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_default_grid_is_at_least_eight_waists():
@@ -202,7 +228,7 @@ def test_default_grid_is_at_least_eight_waists():
         assert spec.extent >= 8.0 * WAIST - 1e-12
     # window grows with the mode order so high modes are not clipped
     big = default_grid(BEAM, l_max=10, p_max=5, side_points=128)
-    f = sample_lg(ModeIndex(10, 5), BEAM, big)
+    f = sample(ModeIndex(10, 5), big)
     assert f.norm() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -213,7 +239,7 @@ def test_default_grid_other_scale():
 
 def test_field_file_roundtrip(tmp_path):
     spec = GridSpec(32, 3.0 * WAIST)
-    f = sample_lg(ModeIndex(2, 1), BEAM, spec)
+    f = sample(ModeIndex(2, 1), spec)
     path = tmp_path / "mode.oamf"
     write_field(path, f)
     g = read_field(path)

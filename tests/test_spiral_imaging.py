@@ -9,7 +9,8 @@ from oamghost.field_grid import (
     GridSpec,
     ModeIndex,
     default_grid,
-    sample_lg,
+    iter_lg_rasters,
+    lg_amplitude,
 )
 from oamghost.spiral_imaging import (
     ModeCoefficients,
@@ -34,6 +35,12 @@ Z2 = 0.5
 
 def small_grid(side=128):
     return default_grid(BEAM, l_max=3, p_max=3, side_points=side)
+
+
+def sample(mode, spec, z, beam=BEAM):
+    """Pointwise oracle lg_amplitude evaluated at every pixel center."""
+    r, phi = spec.polar()
+    return ComplexField(spec, lg_amplitude(mode, beam, r, phi, z))
 
 
 def test_load_object_amplitude_normalization():
@@ -90,7 +97,7 @@ def test_clover_object_structure():
 
 def test_object_spectrum_recovers_single_mode():
     spec = small_grid()
-    obj = sample_lg(ModeIndex(0, 0), BEAM, spec, -Z1)
+    obj = sample(ModeIndex(0, 0), spec, -Z1)
     coeffs = object_spectrum(obj, BEAM, Z1, 3, 3)
     assert coeffs.plane == -Z1
     assert coeffs.value(0, 0) == pytest.approx(1.0, abs=1e-9)
@@ -101,7 +108,7 @@ def test_object_spectrum_recovers_single_mode():
 
 def test_object_spectrum_recovers_propagated_vortex():
     spec = small_grid()
-    obj = sample_lg(ModeIndex(1, 0), BEAM, spec, -Z1)
+    obj = sample(ModeIndex(1, 0), spec, -Z1)
     coeffs = object_spectrum(obj, BEAM, Z1, 3, 3)
     assert coeffs.value(1, 0) == pytest.approx(1.0, abs=1e-9)
     assert abs(coeffs.value(-1, 0)) < 1e-9
@@ -169,7 +176,7 @@ def test_render_pure_image_single_mode():
     values[3 + 2, 1] = c
     coeffs = ModeCoefficients(3, 3, values, Z1, BEAM)
     field = render_pure_image(coeffs, spec, Z2)
-    expect = c * sample_lg(ModeIndex(2, 1), BEAM, spec, Z2).samples
+    expect = c * sample(ModeIndex(2, 1), spec, Z2).samples
     np.testing.assert_allclose(field.samples, expect, atol=1e-15)
 
 
@@ -230,10 +237,39 @@ def test_render_total_coherent_limit():
     obj = clover_object(spec, 8e-4)
     result = render_total(obj, geo, Z1, Z2, 2, 2, spec)
     a00 = object_spectrum(obj, beam, Z1, 2, 2).value(0, 0)
-    mode = sample_lg(ModeIndex(0, 0), beam, spec, Z2).samples
+    mode = sample(ModeIndex(0, 0), spec, Z2, beam).samples
     np.testing.assert_allclose(result.pure_field.samples, np.conj(a00) * mode, atol=1e-15)
     np.testing.assert_allclose(result.total_intensity,
                                2.0 * abs(a00) ** 2 * np.abs(mode) ** 2, rtol=1e-10)
+
+
+@pytest.mark.parametrize("z", [0.0, Z2])
+def test_engine_matches_pointwise_oracle(z):
+    # Per-mode references from lg_amplitude at every pixel; the separable
+    # engine must agree to roundoff in all four consumers.
+    lm = pm = 6
+    spec = default_grid(BEAM, l_max=lm, p_max=pm, side_points=80, z=z)
+    rng = np.random.default_rng(11)
+    shape = (2 * lm + 1, pm + 1)
+    obj = ComplexField(spec, rng.normal(size=(80, 80)) + 1j * rng.normal(size=(80, 80)))
+    coeffs = ModeCoefficients(lm, pm, rng.normal(size=shape) + 1j * rng.normal(size=shape), z, BEAM)
+    spectrum = build_spectrum(GEO, lm, pm)
+    modes = [ModeIndex(l, p) for l in range(-lm, lm + 1) for p in range(pm + 1)]
+    ref = {m: sample(m, spec, z).samples for m in modes}
+
+    def rel(got, expect):
+        return np.max(np.abs(got - expect)) / np.max(np.abs(expect))
+
+    decomposed = np.array([[np.vdot(ref[ModeIndex(l, p)], obj.samples) * spec.pixel_area
+                            for p in range(pm + 1)] for l in range(-lm, lm + 1)])
+    assert rel(object_spectrum(obj, BEAM, -z, lm, pm).values, decomposed) <= 1e-12
+    pure = sum(coeffs.value(m.l, m.p) * ref[m] for m in modes)
+    assert rel(render_pure_image(coeffs, spec, z).samples, pure) <= 1e-12
+    mix = sum(spectrum.amplitude(m.l, m.p) * np.abs(ref[m]) ** 2 for m in modes)
+    background, weight = render_background(coeffs, spectrum, spec, z)
+    assert rel(background, weight * mix) <= 1e-12
+    rasters = dict(iter_lg_rasters(BEAM, spec, z, modes))
+    assert max(rel(rasters[m], ref[m]) for m in modes) <= 1e-12
 
 
 def test_pgm16_roundtrip(tmp_path):
