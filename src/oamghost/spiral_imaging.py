@@ -5,6 +5,12 @@ thermal source filters each mode by its spiral amplitude and conjugates it,
 and the image plane at +z2 receives a coherent "pure" term on top of an
 object-weighted incoherent background. The total intensity is
 background + |pure|^2 by construction.
+
+The per-|l| sums over pixels are np.einsum contractions, which run in
+numpy's own single-threaded loops. These few-row products gain nothing from
+threaded BLAS, whose idle worker spins on the other core: with `@`, on a
+2-core machine, a job took twice its wall time in CPU, and its wall time
+rose and fell with whatever else ran on that core.
 """
 
 from __future__ import annotations
@@ -153,7 +159,7 @@ def _check_truncation(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> Non
 def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_max: int) -> ModeCoefficients:
     """Overlap coefficients of the object against LG modes at plane -z1.
 
-    One real matrix product per |l| gives the +|l| and -|l| rows together.
+    One real contraction per |l| gives the +|l| and -|l| rows together.
     """
     if l_max < 0 or p_max < 0:
         raise ValueError("l_max and p_max must be nonnegative")
@@ -165,9 +171,9 @@ def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_
         base = target if chirp is None else target * np.conj(chirp)
         plus = base * np.conj(harmonic)
         minus = base * harmonic
-        parts = radial @ np.stack([plus.real, plus.imag, minus.real, minus.imag], axis=1)
-        values[l_max + l] = np.conj(gouy) * (parts[:, 0] + 1j * parts[:, 1])
-        values[l_max - l] = np.conj(gouy) * (parts[:, 2] + 1j * parts[:, 3])
+        parts = np.einsum("pn,kn->kp", radial, np.stack([plus.real, plus.imag, minus.real, minus.imag]))
+        values[l_max + l] = np.conj(gouy) * (parts[0] + 1j * parts[1])
+        values[l_max - l] = np.conj(gouy) * (parts[2] + 1j * parts[3])
     return ModeCoefficients(l_max, p_max, values, plane, beam)
 
 
@@ -191,7 +197,7 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
     for l, (radial, harmonic, gouy, chirp) in enumerate(blocks):
         plus = coeffs.values[l_max + l] * gouy
         minus = coeffs.values[l_max - l] * gouy
-        parts = np.stack([plus.real, plus.imag, minus.real, minus.imag]) @ radial
+        parts = np.einsum("kp,pn->kn", np.stack([plus.real, plus.imag, minus.real, minus.imag]), radial)
         block = harmonic * (parts[0] + 1j * parts[1])
         if l:
             block += np.conj(harmonic) * (parts[2] + 1j * parts[3])
@@ -218,7 +224,7 @@ def render_background(
     blocks = _lg_blocks(coeffs.beam, spec, float(z2), l_max, spectrum.p_max)
     for l, (radial, _, _, _) in enumerate(blocks):
         amps = spectrum.amplitudes[l_max + l] + (spectrum.amplitudes[l_max - l] if l else 0.0)
-        mix += amps @ (radial * radial)
+        mix += np.einsum("p,pn,pn->n", amps, radial, radial)
     return weight * mix.reshape(spec.side_points, spec.side_points), weight
 
 
