@@ -1,9 +1,12 @@
-"""Dense two-photon density operators on the truncated (l, p) basis.
+"""Two-photon thermal state on the truncated (l, p) basis, stored by structure.
 
-Provides the classical-mixture and pure-pair parts of the thermal two-photon
-state, the separability certificate that rewrites their sum as a convex
-mixture of separable pieces, and Hilbert-Schmidt geometric discord both in
-closed form and via a local-basis search oracle.
+The state is a diagonal classical mixture, rho_C = diag(P_i P_j), plus a
+rank-one pair projector, rho_Q = |v><v|, so both it and its separability
+certificate are kept as length-d and length-d^2 vectors; dense d^2 x d^2
+views are built only on request and only up to a size cap. Also provides
+Hilbert-Schmidt geometric discord in closed form from the spectrum sums
+sum P, sum P^2, sum P^4 (Dakic, Vedral & Brukner, PRL 105, 190502 (2010)),
+and a dense local-basis search oracle for small d.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thermal_source import SourceGeometry, SpiralSpectrum, build_spectrum, full_lattice_sums, source_geometry
+from .thermal_source import SourceGeometry, SpiralSpectrum, full_lattice_sums, source_geometry
 
 __all__ = [
     "SeparabilityCertificate",
@@ -39,42 +42,68 @@ def mode_basis(l_max: int, p_max: int) -> list[tuple[int, int]]:
     return [(l, p) for l in range(-l_max, l_max + 1) for p in range(p_max + 1)]
 
 
+def _check_dense(d: int, max_dim: int) -> None:
+    if d > max_dim:
+        raise ValueError(
+            f"single-photon dimension d = {d} exceeds the dense-view cap {max_dim} "
+            f"(operators would be {d * d} x {d * d}); lower l_max/p_max or raise max_dim"
+        )
+
+
 @dataclass(frozen=True)
 class ThermalState:
-    """Dense d^2 x d^2 operators of the truncated two-photon thermal state.
+    """Truncated two-photon thermal state rho = rho_C + rho_Q, stored by structure.
 
-    rho_C is the diagonal classical mixture with weights P_i P_j, rho_Q the
-    rank-one pair projector pairing (l, p) with (-l, p), rho their sum. The
-    product basis is A-major over mode_basis order. None of the three is
-    trace-normalized; trace_rho = sum P^2 + (sum P)^2.
+    pvec holds the amplitudes P_i in mode_basis order and partner[i] the index
+    of mode (-l, p) for mode i = (l, p). On the A-major product basis,
+    rho_C = diag(P_i P_j) and rho_Q = |v><v| with v[i d + partner[i]] = P_i
+    (pair_vector). rho_C, rho_Q and rho are dense views, built afresh on each
+    access and refused for d > max_dim. None of them is trace-normalized;
+    trace_rho = sum P^2 + (sum P)^2.
     """
 
     spectrum: SpiralSpectrum
     d: int
-    rho_C: np.ndarray
-    rho_Q: np.ndarray
-    rho: np.ndarray
+    pvec: np.ndarray
+    partner: np.ndarray
     trace_rho: float
+    max_dim: int = 36
+
+    @property
+    def pair_vector(self) -> np.ndarray:
+        """The length-d^2 vector v of rho_Q = |v><v|."""
+        v = np.zeros(self.d * self.d)
+        v[np.arange(self.d) * self.d + self.partner] = self.pvec
+        return v
+
+    @property
+    def rho_C(self) -> np.ndarray:
+        _check_dense(self.d, self.max_dim)
+        return np.diag(np.kron(self.pvec, self.pvec))
+
+    @property
+    def rho_Q(self) -> np.ndarray:
+        _check_dense(self.d, self.max_dim)
+        v = self.pair_vector
+        return np.outer(v, v)
+
+    @property
+    def rho(self) -> np.ndarray:
+        rho = self.rho_Q
+        rho[np.diag_indices_from(rho)] += np.kron(self.pvec, self.pvec)
+        return rho
 
 
 def assemble_density(spectrum: SpiralSpectrum, max_dim: int = 36) -> ThermalState:
-    """Build rho_C, rho_Q and rho = rho_C + rho_Q for the truncated spectrum."""
-    d = spectrum.d
-    if d > max_dim:
-        raise ValueError(
-            f"single-photon dimension d = {d} exceeds the cap {max_dim} "
-            f"(operators would be {d * d} x {d * d}); lower l_max/p_max or raise max_dim"
-        )
-    order = mode_basis(spectrum.l_max, spectrum.p_max)
-    index = {mode: i for i, mode in enumerate(order)}
-    pvec = np.array([spectrum.amplitude(l, p) for l, p in order])
-    rho_c = np.diag(np.kron(pvec, pvec))
-    v = np.zeros(d * d)
-    for i, (l, p) in enumerate(order):
-        v[i * d + index[(-l, p)]] = pvec[i]
-    rho_q = np.outer(v, v)
+    """Structured thermal state for the truncated spectrum, of any dimension.
+
+    max_dim caps only the dense views rho_C, rho_Q and rho.
+    """
+    nl, np_ = spectrum.amplitudes.shape
+    pvec = spectrum.amplitudes.ravel()  # mode_basis order: l ascending, p ascending
+    partner = np.arange(nl * np_).reshape(nl, np_)[::-1].ravel()  # row l + l_max -> -l + l_max
     trace = float(np.sum(pvec ** 2) + np.sum(pvec) ** 2)
-    return ThermalState(spectrum, d, rho_c, rho_q, rho_c + rho_q, trace)
+    return ThermalState(spectrum, spectrum.d, pvec, partner, trace, max_dim)
 
 
 def robustness(spectrum: SpiralSpectrum) -> float:
@@ -92,16 +121,34 @@ def robustness_full_lattice(geometry: SourceGeometry) -> float:
 class SeparabilityCertificate:
     """Pieces of the rewrite rho = (1 + R) rho_S_plus + sum_i P_i^2 |ii><ii|.
 
-    rho_S_minus = (rho_C - sum_i P_i^2 |ii><ii|) / R is diagonal with
-    nonnegative entries; rho_S_plus = (rho_Q + R rho_S_minus) / (1 + R). Both
-    are PSD by construction; reconstruction_residual is the max absolute
-    entrywise defect of the rewrite.
+    rho_S_minus = (rho_C - sum_i P_i^2 |ii><ii|) / R is diagonal; minus_diagonal
+    holds that diagonal (all zero when R = 0). rho_S_plus =
+    (|v><v| + R rho_S_minus) / (1 + R) with v = pair_vector, the pair vector of
+    rho_Q. A diagonal is PSD iff its entries are nonnegative, and a nonnegative
+    diagonal plus a positive multiple of |v><v| is PSD, so both pieces are
+    certified from minus_diagonal alone. reconstruction_residual is the max
+    absolute entrywise defect of the rewrite. rho_S_minus and rho_S_plus are
+    dense views, built afresh on each access and refused for d > max_dim.
     """
 
     R: float
-    rho_S_minus: np.ndarray
-    rho_S_plus: np.ndarray
+    minus_diagonal: np.ndarray
+    pair_vector: np.ndarray
     reconstruction_residual: float
+    max_dim: int = 36
+
+    @property
+    def rho_S_minus(self) -> np.ndarray:
+        _check_dense(math.isqrt(self.minus_diagonal.size), self.max_dim)
+        return np.diag(self.minus_diagonal)
+
+    @property
+    def rho_S_plus(self) -> np.ndarray:
+        _check_dense(math.isqrt(self.pair_vector.size), self.max_dim)
+        plus = np.outer(self.pair_vector, self.pair_vector)
+        plus[np.diag_indices_from(plus)] += self.R * self.minus_diagonal
+        plus /= 1.0 + self.R
+        return plus
 
 
 def separability_decomposition(state: ThermalState, psd_tol: float = 1e-10) -> SeparabilityCertificate:
@@ -109,36 +156,39 @@ def separability_decomposition(state: ThermalState, psd_tol: float = 1e-10) -> S
 
     Requires a positive noise budget R > 0; truncations with (sum P)^2 <= 1
     (every L = 0 truncation, or strongly truncated large-t spectra) carry no
-    budget, and only the trivial single-mode case passes through.
+    budget, and only the trivial single-mode case passes through. Works on
+    the stored vectors only, in O(d^2) time and memory.
     """
-    spectrum = state.spectrum
-    order = mode_basis(spectrum.l_max, spectrum.p_max)
-    pvec = np.array([spectrum.amplitude(l, p) for l, p in order])
     d = state.d
-    diag_pairs = np.zeros(d * d)
-    diag_pairs[np.arange(d) * d + np.arange(d)] = pvec ** 2
-    diag_pairs = np.diag(diag_pairs)
+    classical = np.kron(state.pvec, state.pvec)  # diagonal of rho_C
+    pairs = np.zeros(d * d)
+    pairs[np.arange(d) * d + np.arange(d)] = state.pvec ** 2
+    v = state.pair_vector
+    r = robustness(state.spectrum)
+    minus = (classical - pairs) / r if r > 0.0 else np.zeros(d * d)
 
-    r = robustness(spectrum)
+    # Defect of (1 + R) rho_S_plus + pairs - rho: on the diagonal, and on the
+    # off-diagonal block spanned by the support of v; every other entry is 0 - 0.
+    plus_diag = (v * v + r * minus) / (1.0 + r)
+    residual = float(np.max(np.abs((1.0 + r) * plus_diag + pairs - (classical + v * v))))
+    block = np.outer(state.pvec, state.pvec)  # v on its support, v[i d + partner[i]] = P_i
+    off = np.abs((1.0 + r) * (block / (1.0 + r)) - block)
+    off[np.diag_indices(d)] = 0.0
+    residual = max(residual, float(np.max(off)))
+
     if r <= 0.0:
-        rho_plus = state.rho_Q.copy()
-        residual = float(np.max(np.abs(state.rho - rho_plus - diag_pairs)))
         if residual > 1e-12:
             raise ValueError(
                 "truncated spectrum has (sum P)^2 <= 1: no separating-noise budget; "
                 "use l_max >= 1 and a moderate t, or the full-lattice robustness"
             )
-        return SeparabilityCertificate(0.0, np.zeros_like(state.rho), rho_plus, residual)
+        return SeparabilityCertificate(0.0, minus, v, residual, state.max_dim)
 
-    rho_minus = (state.rho_C - diag_pairs) / r
-    rho_plus = (state.rho_Q + r * rho_minus) / (1.0 + r)
-    recon = (1.0 + r) * rho_plus + diag_pairs
-    residual = float(np.max(np.abs(recon - state.rho)))
-    for name, op in (("rho_S_minus", rho_minus), ("rho_S_plus", rho_plus)):
-        low = float(np.linalg.eigvalsh(op)[0])
+    for name, diagonal in (("rho_S_minus", minus), ("rho_S_plus", r * minus / (1.0 + r))):
+        low = float(np.min(diagonal))
         if low < -psd_tol:
-            raise ValueError(f"{name} has negative eigenvalue {low:g}; construction bug")
-    return SeparabilityCertificate(r, rho_minus, rho_plus, residual)
+            raise ValueError(f"{name} has negative diagonal entry {low:g}; construction bug")
+    return SeparabilityCertificate(r, minus, v, residual, state.max_dim)
 
 
 def discord_from_sums(sum_p: float, sum_p2: float, sum_p4: float) -> float:
@@ -171,18 +221,6 @@ def discord_limit(geometry: SourceGeometry) -> float:
         return 0.0
     x = geometry.sigma_g / geometry.sigma_s
     return 1.0 / (x + 2.0 / x) ** 4
-
-
-def _hermitian_from(theta: np.ndarray, dim: int) -> np.ndarray:
-    h = np.zeros((dim, dim), dtype=complex)
-    h[np.diag_indices(dim)] = theta[:dim]
-    k = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            h[i, j] = theta[k] + 1j * theta[k + 1]
-            h[j, i] = theta[k] - 1j * theta[k + 1]
-            k += 2
-    return h
 
 
 def brute_force_discord(
@@ -226,9 +264,17 @@ def brute_force_discord(
     rho4 = rho.reshape(dim_a, dim_b, dim_a, dim_b)
     purity = float(np.trace(rho @ rho).real)
     n_par = dim_b * dim_b
+    # theta = (diagonal of H, then Re/Im pairs of the upper triangle, row-major).
+    upper = np.triu_indices(dim_b, 1)
+    lower = upper[::-1]
+    diagonal = np.diag_indices(dim_b)
 
     def objective(theta: np.ndarray) -> float:
-        u = expm(1j * _hermitian_from(theta, dim_b))
+        h = np.zeros((dim_b, dim_b), dtype=complex)
+        h[diagonal] = theta[:dim_b]
+        h[upper] = theta[dim_b::2] + 1j * theta[dim_b + 1::2]
+        h[lower] = np.conj(h[upper])
+        u = expm(1j * h)
         meas = np.einsum("bk,abcd,dk->ack", u.conj(), rho4, u)
         return purity - float(np.real(np.einsum("ack,cak->", meas, meas)))
 
@@ -242,25 +288,41 @@ def brute_force_discord(
     return max(best, 0.0)
 
 
+def _truncated_sums(t: np.ndarray, l_max: int, p_max: int, k: int) -> np.ndarray:
+    """sum P^k over the truncation for each decay ratio in t, with P = (1 - t^2) t^(|l| + 2p).
+
+    The lattice sum factorises as sum_l t^(k|l|) * sum_p t^(2kp); both are
+    summed term by term, which stays exact as t -> 1 where the geometric-series
+    closed form would cancel.
+    """
+    ls = np.abs(np.arange(-l_max, l_max + 1))
+    ps = np.arange(p_max + 1)
+    tt = t[:, None]
+    return (1.0 - t * t) ** k * np.sum(tt ** (k * ls), axis=1) * np.sum(tt ** (2 * k * ps), axis=1)
+
+
 def discord_curve(sigma_s: float, sigma_g_values, dimension_list) -> list[tuple]:
-    """Rows (sigma_g/sigma_s, L, P, d, D_rho, D_rhoQ, D_inf) per sample and truncation."""
+    """Rows (sigma_g/sigma_s, L, P, d, D_rho, D_rhoQ, D_inf) per sample and truncation.
+
+    D_rho and D_rhoQ are geometric_discord_thermal and geometric_discord_pure
+    of build_spectrum's table, computed for all samples at once from the
+    three spectrum sums.
+    """
+    sigma_gs = [float(sigma_g) for sigma_g in sigma_g_values]
+    geometries = [source_geometry(sigma_s, sigma_g) for sigma_g in sigma_gs]
+    t = np.array([geometry.t for geometry in geometries])
+    columns = []
+    for l_max, p_max in dimension_list:
+        if l_max < 0 or p_max < 0:
+            raise ValueError("l_max and p_max must be nonnegative")
+        s1, s2, s4 = (_truncated_sums(t, l_max, p_max, k) for k in (1, 2, 4))
+        d = (2 * l_max + 1) * (p_max + 1)
+        columns.append((l_max, p_max, d, discord_from_sums(s1, s2, s4), 1.0 - s4 / (s2 * s2)))
     rows = []
-    for sigma_g in sigma_g_values:
-        geometry = source_geometry(sigma_s, float(sigma_g))
+    for i, (sigma_g, geometry) in enumerate(zip(sigma_gs, geometries)):
         d_inf = discord_limit(geometry)
-        for l_max, p_max in dimension_list:
-            spectrum = build_spectrum(geometry, l_max, p_max)
-            rows.append(
-                (
-                    float(sigma_g) / sigma_s,
-                    l_max,
-                    p_max,
-                    spectrum.d,
-                    geometric_discord_thermal(spectrum),
-                    geometric_discord_pure(spectrum),
-                    d_inf,
-                )
-            )
+        for l_max, p_max, d, d_rho, d_rho_q in columns:
+            rows.append((sigma_g / sigma_s, l_max, p_max, d, float(d_rho[i]), float(d_rho_q[i]), d_inf))
     return rows
 
 

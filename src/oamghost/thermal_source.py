@@ -266,6 +266,9 @@ def csd_mode_decompose(
         ay = ax[::-1]
         kx = np.exp(-((ax[:, None] - ax[None, :]) ** 2) / (2.0 * geometry.sigma_g ** 2))
         ky = np.exp(-((ay[:, None] - ay[None, :]) ** 2) / (2.0 * geometry.sigma_g ** 2))
+        # Subnormal kernel entries add nothing above rounding but slow the products.
+        kx[kx < np.finfo(float).tiny] = 0.0
+        ky[ky < np.finfo(float).tiny] = 0.0
 
     partials = np.empty((n_modes, spec.side_points ** 2), dtype=complex)
     raster_conj = np.empty_like(partials)

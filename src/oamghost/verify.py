@@ -202,11 +202,13 @@ def suite_separability(l_max: int | None = None, p_max: int | None = None,
                        seed: int = 0, trials: int = 12) -> list[CheckResult]:
     """Explicit separable decompositions of the truncated two-beam state.
 
-    Randomized truncations and coherence parameters (all with d <= 16 and
-    (sum P)^2 > 1 so the construction applies); checks reconstruction to
-    1e-12 and positive semidefiniteness of both separable pieces. Also checks
-    the closed-form robustness R = 1 at sigma_g = 2 sigma_s on the full
-    lattice.
+    Randomized truncations (all with d <= 16 unless l_max and p_max are
+    given) and coherence parameters, each with (sum P)^2 > 1 so the
+    construction applies; checks reconstruction to 1e-12 and positive
+    semidefiniteness of both separable pieces, by eigvalsh on the dense views
+    up to the dense-view cap and by the exact diagonal-plus-rank-one
+    criterion above it. Also checks the closed-form robustness R = 1 at
+    sigma_g = 2 sigma_s on the full lattice.
     """
     t0 = time.perf_counter()
     results = []
@@ -235,9 +237,15 @@ def suite_separability(l_max: int | None = None, p_max: int | None = None,
         state = assemble_density(spec)
         cert = separability_decomposition(state)
         worst_res = max(worst_res, cert.reconstruction_residual)
-        for part in (cert.rho_S_minus, cert.rho_S_plus):
-            lo = float(np.linalg.eigvalsh(part)[0])
-            worst_eig = min(worst_eig, lo)
+        if state.d <= state.max_dim:
+            lows = [float(np.linalg.eigvalsh(part)[0]) for part in (cert.rho_S_minus, cert.rho_S_plus)]
+        else:
+            # rho_S- is diagonal, so its least entry is its least eigenvalue; rho_S+ adds
+            # a positive multiple of |v><v| to R / (1 + R) times that diagonal, which
+            # cannot lower the spectrum below the diagonal's least entry (Weyl).
+            low = float(np.min(cert.minus_diagonal))
+            lows = [low, cert.R * low / (1.0 + cert.R)]
+        worst_eig = min(worst_eig, *lows)
     results.append(CheckResult("reconstruction", worst_res <= 1e-12,
                                f"max residual {worst_res:.3e} over {trials} trials (tol 1e-12)"))
     results.append(CheckResult("psd", worst_eig >= -1e-10,

@@ -246,6 +246,14 @@ def test_verify_forwards_only_explicit_parameters(tmp_path, capsys):
     assert "4/4 checks passed" in msg
 
 
+@pytest.mark.parametrize("size", ["4", "10"])
+def test_verify_separability_above_dense_cap(tmp_path, capsys, size):
+    # d = 45 and d = 231 exceed the dense-view cap of 36
+    assert main(["verify", "--suite", "separability", "--l-max", size, "--p-max", size,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert "4/4 checks passed" in capsys.readouterr().out
+
+
 def test_default_parameter_table():
     assert DEFAULTS["sigma_g"] == 2.5e-5
     assert DEFAULTS["samples"] == 200

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -64,8 +65,53 @@ def test_assemble_thermal_is_psd():
 
 
 def test_assemble_dimension_cap():
+    state = assemble_density(flat_spectrum(4, 4))  # d = 45: the structured state has no cap
+    assert state.d == 45
     with pytest.raises(ValueError):
-        assemble_density(flat_spectrum(4, 4))  # d = 45
+        state.rho  # the dense view is capped at max_dim = 36
+
+
+@pytest.mark.parametrize("l_max,p_max", [(0, 0), (1, 0), (1, 1), (1, 11)])
+def test_dense_views_match_dense_construction(l_max, p_max):
+    # d = 1, 3, 6, 36; references built the dense way, entry by entry
+    geo = source_geometry(SIGMA_S, 1.3e-3)
+    state = assemble_density(build_spectrum(geo, l_max, p_max))
+    d = state.d
+    order = mode_basis(l_max, p_max)
+    index = {mode: i for i, mode in enumerate(order)}
+    p = np.array([state.spectrum.amplitude(l, q) for l, q in order])
+    v = np.zeros(d * d)
+    for i, (l, q) in enumerate(order):
+        v[i * d + index[(-l, q)]] = p[i]
+    rho_c = np.diag(np.kron(p, p))
+    rho_q = np.outer(v, v)
+    np.testing.assert_array_equal(state.rho_C, rho_c)
+    np.testing.assert_array_equal(state.rho_Q, rho_q)
+    np.testing.assert_array_equal(state.rho, rho_c + rho_q)
+    if d == 1:
+        return
+    cert = separability_decomposition(state)
+    diag_pairs = np.zeros(d * d)
+    diag_pairs[np.arange(d) * d + np.arange(d)] = p ** 2
+    rho_minus = (rho_c - np.diag(diag_pairs)) / cert.R
+    np.testing.assert_array_equal(cert.rho_S_minus, rho_minus)
+    np.testing.assert_array_equal(cert.rho_S_plus, (rho_q + cert.R * rho_minus) / (1.0 + cert.R))
+
+
+def test_certificate_at_cli_default_truncation():
+    geo = source_geometry(SIGMA_S, 2.5e-5)
+    spec = build_spectrum(geo, 20, 20)
+    start = time.perf_counter()
+    state = assemble_density(spec)
+    cert = separability_decomposition(state)
+    elapsed = time.perf_counter() - start
+    assert state.d == 861
+    assert elapsed < 0.5
+    assert cert.R == spec.sum_amplitudes() ** 2 - 1.0
+    assert cert.reconstruction_residual <= 1e-12
+    assert np.min(cert.minus_diagonal) >= 0.0
+    with pytest.raises(ValueError):
+        cert.rho_S_plus
 
 
 def test_robustness_closed_form_and_truncations():
@@ -231,3 +277,16 @@ def test_discord_curve_rows_and_csv(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(0.3)
     assert first[1:4] == ["2", "2", "15"]
+
+
+@pytest.mark.parametrize("dims", [[(0, 0), (2, 2)], [(60, 60), (100, 3)]])
+def test_discord_curve_matches_per_table_discord(dims):
+    # down to sigma_g = 1e-7 m, where t = 1 - 1e-4 and a geometric closed form would cancel
+    sigma_gs = np.concatenate([[1e-7, 1e-6, 1e-5], np.geomspace(3e-5, 5e-2, 17)])
+    rows = discord_curve(SIGMA_S, sigma_gs, dims)
+    assert len(rows) == len(sigma_gs) * len(dims)
+    for row, (sigma_g, (l_max, p_max)) in zip(rows, [(g, dim) for g in sigma_gs for dim in dims]):
+        spec = build_spectrum(source_geometry(SIGMA_S, sigma_g), l_max, p_max)
+        assert row[1:4] == (l_max, p_max, spec.d)
+        assert abs(row[4] - geometric_discord_thermal(spec)) <= 1e-14
+        assert abs(row[5] - geometric_discord_pure(spec)) <= 1e-14
