@@ -27,17 +27,13 @@ from .field_grid import (
     intensity_and_phase,
     write_field,
 )
-from .quantum_correlations import discord_curve, write_discord_csv
+from .quantum_correlations import discord_curve
 from .spiral_imaging import (
     clover_object,
     image_grid,
-    image_spectrum,
     load_object,
-    object_spectrum,
     read_pgm,
-    render_background,
-    render_pure_image,
-    write_image_spectrum_csv,
+    render_total,
     write_pgm16,
 )
 from .thermal_source import (
@@ -46,8 +42,6 @@ from .thermal_source import (
     oracle_grid,
     schmidt_number,
     source_geometry,
-    write_marginal_csv,
-    write_spectrum_csv,
 )
 from .verify import SUITES, _csd_deviations, run_suite
 
@@ -94,8 +88,17 @@ DEFAULTS = {
     "dump_field": False,
 }
 
+# RunConfig keys that the verify suites take; `grid` is their `side_points`.
+_SUITE_KEYS = ("sigma_s", "sigma_g", "wavelength", "z1", "z2", "l_max", "p_max", "grid",
+               "seed", "samples", "clover_radius")
+
 # The quadrature oracle is quartic in mode count; keep its defaults small.
-_COMMAND_DEFAULTS = {"oracle-csd": {"l_max": 3, "p_max": 3, "grid": 128}}
+# Under verify a suite parameter the user did not set stays None, so each
+# suite runs at its own documented defaults and the manifest leaves it out.
+_COMMAND_DEFAULTS = {
+    "oracle-csd": {"l_max": 3, "p_max": 3, "grid": 128},
+    "verify": dict.fromkeys(_SUITE_KEYS),
+}
 
 _FLOAT_KEYS = {"sigma_s", "sigma_g", "wavelength", "z1", "z2", "extent",
                "sigma_g_min", "sigma_g_max", "clover_radius"}
@@ -115,7 +118,11 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved parameters of one CLI invocation."""
+    """Fully resolved parameters of one CLI invocation.
+
+    Under `verify` the suite parameters left unset are None (see
+    _COMMAND_DEFAULTS).
+    """
 
     command: str
     sigma_s: float
@@ -224,34 +231,39 @@ def _convert(key: str, text: str, where: str):
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, text = line.partition("=")
-            key = key.strip().replace("-", "_")
-            text = text.strip()
-            if key == "command":
-                continue  # manifests carry it; the subcommand comes from argv
-            values[key] = _convert(key, text, f"{path}:{lineno}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not a UTF-8 text file ({exc.reason} at byte {exc.start})") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, text = line.partition("=")
+        key = key.strip().replace("-", "_")
+        text = text.strip()
+        if key == "command":
+            continue  # manifests carry it; the subcommand comes from argv
+        values[key] = _convert(key, text, f"{path}:{lineno}")
     return values
 
 
 def _validate(m: dict) -> None:
+    # None marks a verify suite parameter left to the suite's own default.
     for key in ("sigma_s", "wavelength", "z1", "z2", "clover_radius",
                 "sigma_g_min", "sigma_g_max"):
         v = m[key]
-        if not (math.isfinite(v) and v > 0):
+        if v is not None and not (math.isfinite(v) and v > 0):
             raise UsageError(f"key {key!r} must be a positive finite number, got {v!r}")
-    if not m["sigma_g"] > 0:
+    if m["sigma_g"] is not None and not m["sigma_g"] > 0:
         raise UsageError(f"key 'sigma_g' must be positive ('inf' allowed), got {m['sigma_g']!r}")
     if m["sigma_g_min"] >= m["sigma_g_max"]:
         raise UsageError("key 'sigma_g_min' must be below 'sigma_g_max'")
     for key, floor in (("l_max", 0), ("p_max", 0), ("grid", 2), ("seed", 0), ("samples", 2)):
-        if m[key] < floor:
+        if m[key] is not None and m[key] < floor:
             raise UsageError(f"key {key!r} must be >= {floor}, got {m[key]}")
     if m["extent"] is not None and not (math.isfinite(m["extent"]) and m["extent"] > 0):
         raise UsageError(f"key 'extent' must be a positive finite number, got {m['extent']!r}")
@@ -304,8 +316,7 @@ def _write_manifest(config: RunConfig, emitted: list[str]) -> str:
     for name in emitted:
         lines.append(f"# emitted: {name}")
     lines.append("# emitted: run_manifest.txt")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
     return path
 
 
@@ -313,13 +324,31 @@ def _out_path(config: RunConfig, suffix: str) -> str:
     return os.path.join(config.out, f"{config.out_prefix}_{suffix}")
 
 
+def _write_lines(path: str, lines) -> None:
+    """Write a text file, one entry of `lines` per line; every text artefact
+    (CSVs, scaling sidecar, manifest) goes through here."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _mode_order(l_max: int, p_max: int) -> list[tuple[int, int]]:
+    """(l, p) in CSV row order: sorted by (|l|, l, p), so l runs 0, -1, 1, -2, 2, ..."""
+    ls = sorted(range(-l_max, l_max + 1), key=lambda l: (abs(l), l))
+    return [(l, p) for l in ls for p in range(p_max + 1)]
+
+
 def _run_spectrum(config: RunConfig) -> int:
     geo = source_geometry(config.sigma_s, config.sigma_g)
     spectrum = build_spectrum(geo, config.l_max, config.p_max)
     spath = _out_path(config, "spectrum.csv")
     mpath = _out_path(config, "marginal.csv")
-    write_spectrum_csv(spath, spectrum)
-    write_marginal_csv(mpath, spectrum)
+    rows = ["l,p,P,P_squared"]
+    for l, p in _mode_order(config.l_max, config.p_max):
+        a = spectrum.amplitude(l, p)
+        rows.append(f"{l},{p},{a:.17g},{a * a:.17g}")
+    _write_lines(spath, rows)
+    marginal = zip(range(-config.l_max, config.l_max + 1), spectrum.oam_marginal())
+    _write_lines(mpath, ["l,P_l"] + [f"{l},{m:.17g}" for l, m in marginal])
     print(f"geometry: t = {geo.t:.12g}, matched waist = {geo.matched_waist:.6e} m")
     print(f"truncated sums: sum P = {spectrum.sum_amplitudes():.12g}, "
           f"sum P^2 = {spectrum.sum_squares():.12g}")
@@ -343,21 +372,17 @@ def _run_image(config: RunConfig) -> int:
     else:
         obj = clover_object(spec, config.clover_radius)
 
-    coeffs = object_spectrum(obj, beam, config.z1, config.l_max, config.p_max)
-    spectrum = build_spectrum(geo, config.l_max, config.p_max)
-    image = image_spectrum(coeffs, spectrum)
-    pure = render_pure_image(image, spec, config.z2)
-    background, weight = render_background(coeffs, spectrum, spec, config.z2)
-    pure_inten, pure_phase = intensity_and_phase(pure)
-    total = background + pure_inten
+    result = render_total(obj, geo, config.z1, config.z2, config.l_max, config.p_max, spec,
+                          config.wavelength)
+    pure_inten, pure_phase = intensity_and_phase(result.pure_field)
 
     emitted = []
     scaling = ["# raster value = lo + (pixel / 65535) * (hi - lo)"]
     for name, data, lo, hi in (
         ("pure_intensity", pure_inten, None, None),
         ("pure_phase", pure_phase, -math.pi, math.pi),
-        ("background", background, None, None),
-        ("total", total, None, None),
+        ("background", result.background, None, None),
+        ("total", result.total_intensity, None, None),
     ):
         path = _out_path(config, f"{name}.pgm")
         wlo, whi = write_pgm16(path, data, lo, hi)
@@ -365,22 +390,26 @@ def _run_image(config: RunConfig) -> int:
         scaling.append(f"{name}_hi = {whi!r}")
         emitted.append(os.path.basename(path))
     sidecar = _out_path(config, "scaling.txt")
-    with open(sidecar, "w") as fh:
-        fh.write("\n".join(scaling) + "\n")
+    _write_lines(sidecar, scaling)
     emitted.append(os.path.basename(sidecar))
 
     cpath = _out_path(config, "spectrum.csv")
-    write_image_spectrum_csv(cpath, coeffs, image)
+    coeffs, image = result.object_coefficients, result.image_coefficients
+    rows = ["l,p,re_A,im_A,re_B,im_B"]
+    for l, p in _mode_order(config.l_max, config.p_max):
+        a, b = coeffs.value(l, p), image.value(l, p)
+        rows.append(f"{l},{p},{a.real:.17g},{a.imag:.17g},{b.real:.17g},{b.imag:.17g}")
+    _write_lines(cpath, rows)
     emitted.append(os.path.basename(cpath))
     if config.dump_field:
         fpath = _out_path(config, "pure.oamf")
-        write_field(fpath, pure)
+        write_field(fpath, result.pure_field)
         emitted.append(os.path.basename(fpath))
 
     obj_power = float(np.sum(np.abs(obj.samples) ** 2)) * spec.pixel_area
     print(f"grid: {spec.side_points} points over {spec.extent:.6e} m")
     print(f"object power {obj_power:.6e}, captured fraction {coeffs.power() / obj_power:.4f}")
-    print(f"background weight = {weight:.6e}")
+    print(f"background weight = {result.background_weight:.6e}")
     print(f"wrote {len(emitted)} files under {config.out!r} with prefix {config.out_prefix!r}")
     _write_manifest(replace(config, extent=spec.extent), emitted)
     return EXIT_OK
@@ -390,7 +419,10 @@ def _run_discord(config: RunConfig) -> int:
     sigma_gs = np.linspace(config.sigma_g_min, config.sigma_g_max, config.samples)
     rows = discord_curve(config.sigma_s, sigma_gs, [(config.l_max, config.p_max)])
     path = _out_path(config, "discord.csv")
-    write_discord_csv(path, rows)
+    lines = ["sigma_g_over_sigma_s,L,P,d,D_rho,D_rhoQ,D_inf"]
+    for ratio, l_max, p_max, d, d_rho, d_rho_q, d_inf in rows:
+        lines.append(f"{ratio:.17g},{l_max},{p_max},{d},{d_rho:.17g},{d_rho_q:.17g},{d_inf:.17g}")
+    _write_lines(path, lines)
     best = max(rows, key=lambda row: row[4])
     print(f"{len(rows)} rows; max D_rho = {best[4]:.9g} at sigma_g/sigma_s = {best[0]:.6g}")
     print(f"wrote {path}")
@@ -406,18 +438,14 @@ def _run_oracle_csd(config: RunConfig) -> int:
         spec = oracle_grid(geo, config.l_max, config.p_max, config.grid)
     tensor = csd_mode_decompose(geo, config.l_max, config.p_max, spec, config.wavelength)
 
-    lm, pm = config.l_max, config.p_max
-    order = sorted(range(-lm, lm + 1), key=lambda v: (abs(v), v))
+    modes = _mode_order(config.l_max, config.p_max)
     lines = ["l1,l2,p1,p2,re_f,im_f"]
-    for l1 in order:
-        for p1 in range(pm + 1):
-            for l2 in order:
-                for p2 in range(pm + 1):
-                    f = tensor.coefficient(l1, l2, p1, p2)
-                    lines.append(f"{l1},{l2},{p1},{p2},{f.real:.17g},{f.imag:.17g}")
+    for l1, p1 in modes:
+        for l2, p2 in modes:
+            f = tensor.coefficient(l1, l2, p1, p2)
+            lines.append(f"{l1},{l2},{p1},{p2},{f.real:.17g},{f.imag:.17g}")
     path = _out_path(config, "csd.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
     f0 = tensor.coefficient(0, 0, 0, 0).real
     off, dev = _csd_deviations(tensor, geo.t)
@@ -429,29 +457,10 @@ def _run_oracle_csd(config: RunConfig) -> int:
     return EXIT_OK
 
 
-# RunConfig key -> suite keyword; forwarded only when it differs from the
-# default so each suite keeps its documented parameters otherwise.
-_SUITE_KEYS = {
-    "sigma_s": "sigma_s",
-    "sigma_g": "sigma_g",
-    "wavelength": "wavelength",
-    "z1": "z1",
-    "z2": "z2",
-    "l_max": "l_max",
-    "p_max": "p_max",
-    "grid": "side_points",
-    "seed": "seed",
-    "samples": "samples",
-    "clover_radius": "clover_radius",
-}
-
-
 def _run_verify(config: RunConfig) -> int:
-    kwargs = {}
-    for key, suite_key in _SUITE_KEYS.items():
-        value = getattr(config, key)
-        if value != DEFAULTS[key]:
-            kwargs[suite_key] = value
+    # Forward exactly the parameters set by flag or config file (see _COMMAND_DEFAULTS).
+    kwargs = {"side_points" if key == "grid" else key: getattr(config, key)
+              for key in _SUITE_KEYS if getattr(config, key) is not None}
     results = run_suite(config.suite, **kwargs)
     for result in results:
         print(result.line())

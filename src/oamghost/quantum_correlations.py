@@ -33,7 +33,6 @@ __all__ = [
     "robustness",
     "robustness_full_lattice",
     "separability_decomposition",
-    "write_discord_csv",
 ]
 
 
@@ -324,13 +323,3 @@ def discord_curve(sigma_s: float, sigma_g_values, dimension_list) -> list[tuple]
         for l_max, p_max, d, d_rho, d_rho_q in columns:
             rows.append((sigma_g / sigma_s, l_max, p_max, d, float(d_rho[i]), float(d_rho_q[i]), d_inf))
     return rows
-
-
-def write_discord_csv(path, rows) -> None:
-    """CSV with header sigma_g_over_sigma_s,L,P,d,D_rho,D_rhoQ,D_inf."""
-    lines = ["sigma_g_over_sigma_s,L,P,d,D_rho,D_rhoQ,D_inf"]
-    for ratio, l_max, p_max, d, d_rho, d_rho_q, d_inf in rows:
-        lines.append(f"{ratio:.17g},{l_max},{p_max},{d},{d_rho:.17g},{d_rho_q:.17g},{d_inf:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-

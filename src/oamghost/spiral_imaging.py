@@ -35,7 +35,6 @@ __all__ = [
     "render_background",
     "render_pure_image",
     "render_total",
-    "write_image_spectrum_csv",
     "write_pgm16",
 ]
 
@@ -81,13 +80,16 @@ class ModeCoefficients:
 
 @dataclass(frozen=True)
 class GhostImageResult:
-    """Rendered pure field, background raster, their combined intensity, and
-    the object-dependent background weight."""
+    """Rendered pure field, background raster, their combined intensity, the
+    object-dependent background weight, and the object and image mode tables
+    they were synthesized from."""
 
     pure_field: ComplexField
     background: np.ndarray
     total_intensity: np.ndarray
     background_weight: float
+    object_coefficients: ModeCoefficients
+    image_coefficients: ModeCoefficients
 
 
 def load_object(intensity, phase, spec: GridSpec) -> ComplexField:
@@ -243,31 +245,17 @@ def render_total(
     Decomposes the object at -z1 with the matched-waist beam, filters by the
     thermal spiral spectrum, and synthesizes the pure term and the background
     at +z2. The object is decomposed on its own grid; the output rasters live
-    on `spec` (usually the same grid).
+    on `spec` (usually the same grid). The result also carries the object
+    and image mode tables.
     """
     beam = BeamSpec(geometry.matched_waist, wavelength)
     spectrum = build_spectrum(geometry, l_max, p_max)
     coeffs = object_spectrum(obj, beam, z1, l_max, p_max)
-    pure = render_pure_image(image_spectrum(coeffs, spectrum), spec, z2)
+    image = image_spectrum(coeffs, spectrum)
+    pure = render_pure_image(image, spec, z2)
     background, weight = render_background(coeffs, spectrum, spec, z2)
     total = background + pure.samples.real ** 2 + pure.samples.imag ** 2
-    return GhostImageResult(pure, background, total, weight)
-
-
-def write_image_spectrum_csv(path, object_coeffs: ModeCoefficients, image_coeffs: ModeCoefficients) -> None:
-    """CSV with header l,p,re_A,im_A,re_B,im_B, rows sorted by (|l|, l, p)."""
-    if (object_coeffs.l_max, object_coeffs.p_max) != (image_coeffs.l_max, image_coeffs.p_max):
-        raise ValueError("object and image tables have different truncations")
-    lines = ["l,p,re_A,im_A,re_B,im_B"]
-    for l in sorted(range(-object_coeffs.l_max, object_coeffs.l_max + 1), key=lambda v: (abs(v), v)):
-        for p in range(object_coeffs.p_max + 1):
-            a = object_coeffs.value(l, p)
-            b = image_coeffs.value(l, p)
-            lines.append(
-                f"{l},{p},{a.real:.17g},{a.imag:.17g},{b.real:.17g},{b.imag:.17g}"
-            )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return GhostImageResult(pure, background, total, weight, coeffs, image)
 
 
 def write_pgm16(path, data, lo: float | None = None, hi: float | None = None) -> tuple[float, float]:
@@ -316,10 +304,17 @@ def read_pgm(path) -> np.ndarray:
     i += 1  # single whitespace byte after maxval
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise ValueError(f"{path}: bad PGM width, height or maxval {b' '.join(tokens[1:])!r}")
     width, height, maxval = (int(t) for t in tokens[1:])
-    dtype = ">u2" if maxval > 255 else "u1"
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: PGM size {width}x{height} has no pixels")
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: PGM maxval {maxval} outside 1..65535")
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
     count = width * height
+    available = max(len(blob) - i, 0) // dtype.itemsize
+    if available < count:
+        raise ValueError(f"{path}: expected {count} pixels, got {available}")
     data = np.frombuffer(blob, dtype=dtype, count=count, offset=i)
-    if data.size != count:
-        raise ValueError(f"{path}: expected {count} pixels, got {data.size}")
     return data.reshape(height, width).astype(float)

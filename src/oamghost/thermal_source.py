@@ -31,8 +31,6 @@ __all__ = [
     "schmidt_number",
     "source_geometry",
     "spectrum_amplitude",
-    "write_marginal_csv",
-    "write_spectrum_csv",
 ]
 
 
@@ -287,28 +285,3 @@ def csd_mode_decompose(
     np_ = p_max + 1
     coeffs = flat.reshape(nl, np_, nl, np_).transpose(0, 2, 1, 3)
     return CsdTensor(l_max, p_max, coeffs)
-
-
-def _sorted_l_range(l_max: int):
-    return sorted(range(-l_max, l_max + 1), key=lambda v: (abs(v), v))
-
-
-def write_spectrum_csv(path, spectrum: SpiralSpectrum) -> None:
-    """CSV with header l,p,P,P_squared, rows sorted by (|l|, l, p)."""
-    lines = ["l,p,P,P_squared"]
-    for l in _sorted_l_range(spectrum.l_max):
-        for p in range(spectrum.p_max + 1):
-            a = spectrum.amplitude(l, p)
-            lines.append(f"{l},{p},{a:.17g},{a * a:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_marginal_csv(path, spectrum: SpiralSpectrum) -> None:
-    """CSV with header l,P_l where P_l = sum_p P^2, rows with l ascending."""
-    marginal = spectrum.oam_marginal()
-    lines = ["l,P_l"]
-    for l in range(-spectrum.l_max, spectrum.l_max + 1):
-        lines.append(f"{l},{marginal[l + spectrum.l_max]:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -35,7 +35,6 @@ from .spiral_imaging import (
     clover_object,
     image_grid,
     image_spectrum,
-    object_spectrum,
     render_pure_image,
     render_total,
 )
@@ -310,7 +309,7 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModeClippedWarning)
         result = render_total(obj, geo, z1, z2, l_max, p_max, spec, wavelength)
-        coeffs = object_spectrum(obj, beam, z1, l_max, p_max)
+    coeffs = result.object_coefficients
 
     # (a) decomposition identity and mode-capture sanity.
     pure2 = np.abs(result.pure_field.samples) ** 2

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -17,8 +19,15 @@ from oamghost.cli import (
     main,
     parse_config,
 )
-from oamghost.field_grid import ModeIndex, read_field
-from oamghost.thermal_source import source_geometry, spectrum_amplitude
+from oamghost.field_grid import BeamSpec, ModeIndex, read_field
+from oamghost.quantum_correlations import discord_curve
+from oamghost.spiral_imaging import clover_object, image_grid, render_total
+from oamghost.thermal_source import build_spectrum, source_geometry, spectrum_amplitude
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# CSV row order of the mode tables at l_max = 2, p_max = 1: by (|l|, l, p).
+MODES_2_1 = [(0, 0), (0, 1), (-1, 0), (-1, 1), (1, 0), (1, 1), (-2, 0), (-2, 1), (2, 0), (2, 1)]
 
 
 def test_defaults_resolve():
@@ -96,6 +105,13 @@ def test_missing_config_file_is_io_error(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "nope.cfg")]) == EXIT_IO
 
 
+def test_non_utf8_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfez\x001\x00 \x00=\x00 \x000\x00.\x005\x00\n\x00")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "utf16.cfg" in capsys.readouterr().err
+
+
 def test_unwritable_out_is_io_error(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("x")
@@ -115,12 +131,18 @@ def test_spectrum_run_values_and_determinism(tmp_path, capsys):
     geo = source_geometry(1e-3, 1e-4)
     lines = body.splitlines()
     assert lines[0] == "l,p,P,P_squared"
+    assert [tuple(int(v) for v in line.split(",")[:2]) for line in lines[1:]] == MODES_2_1
     for line in lines[1:]:
         l, p, val, sq = line.split(",")
         expect = spectrum_amplitude(ModeIndex(int(l), int(p)), geo)
         assert float(val) == pytest.approx(expect, rel=1e-15)
         assert float(sq) == pytest.approx(expect ** 2, rel=1e-15)
-    assert (out1 / "spectrum_marginal.csv").exists()
+
+    lines = (out1 / "spectrum_marginal.csv").read_text().splitlines()
+    assert lines[0] == "l,P_l"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [-2, -1, 0, 1, 2]
+    marginal = [float(line.split(",")[1]) for line in lines[1:]]
+    np.testing.assert_allclose(marginal, build_spectrum(geo, 2, 1).oam_marginal(), rtol=1e-15)
 
 
 def test_manifest_round_trip(tmp_path, capsys):
@@ -162,7 +184,18 @@ def test_image_run_emits_file_set(tmp_path, capsys):
         assert key in scaling
     lines = (out / "image_spectrum.csv").read_text().splitlines()
     assert lines[0] == "l,p,re_A,im_A,re_B,im_B"
-    assert len(lines) == 1 + 5 * 2
+    assert [tuple(int(v) for v in line.split(",")[:2]) for line in lines[1:]] == MODES_2_1
+    geo = source_geometry(DEFAULTS["sigma_s"], DEFAULTS["sigma_g"])
+    spec = image_grid(BeamSpec(geo.matched_waist, DEFAULTS["wavelength"]), DEFAULTS["z1"],
+                      DEFAULTS["z2"], DEFAULTS["clover_radius"], 64)
+    result = render_total(clover_object(spec, DEFAULTS["clover_radius"]), geo, DEFAULTS["z1"],
+                          DEFAULTS["z2"], 2, 1, spec, DEFAULTS["wavelength"])
+    for column, table in ((2, result.object_coefficients), (4, result.image_coefficients)):
+        scale = np.max(np.abs(table.values))
+        for line in lines[1:]:
+            row = line.split(",")
+            got = complex(float(row[column]), float(row[column + 1]))
+            assert abs(got - table.value(int(row[0]), int(row[1]))) <= 1e-15 * scale
     field = read_field(out / "image_pure.oamf")
     assert field.spec.side_points == 64
     manifest = (out / "run_manifest.txt").read_text()
@@ -210,6 +243,12 @@ def test_discord_run(tmp_path, capsys):
     ratios = [float(line.split(",")[0]) for line in lines[1:]]
     assert ratios[0] == pytest.approx(0.2)
     assert ratios[-1] == pytest.approx(10.0)
+    sigma_gs = np.linspace(DEFAULTS["sigma_g_min"], DEFAULTS["sigma_g_max"], 11)
+    for line, expect in zip(lines[1:], discord_curve(DEFAULTS["sigma_s"], sigma_gs, [(8, 8)])):
+        row = line.split(",")
+        assert tuple(int(v) for v in row[1:4]) == expect[1:4] == (8, 8, 153)
+        for k in (0, 4, 5, 6):
+            assert float(row[k]) == pytest.approx(expect[k], rel=1e-15)
 
 
 def test_oracle_csd_run(tmp_path, capsys):
@@ -239,11 +278,38 @@ def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):
 
 
 def test_verify_forwards_only_explicit_parameters(tmp_path, capsys):
-    # seed/l_max defaults differ per suite, so only overrides are forwarded
+    # seed/l_max defaults differ per suite, so only the parameters set are forwarded
     assert main(["verify", "--suite", "separability", "--l-max", "1", "--p-max", "1",
                  "--out", str(tmp_path)]) == EXIT_OK
     msg = capsys.readouterr().out
     assert "4/4 checks passed" in msg
+    # a value equal to the CLI default (p_max = 20) is forwarded too; the
+    # structured criterion at d = 819 and 861 gives an exact 0, while the
+    # suite's random d <= 16 shapes would give an eigvalsh rounding residue
+    for l_max in ("19", "20"):
+        assert main(["verify", "--suite", "separability", "--l-max", l_max, "--p-max", "20",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        msg = capsys.readouterr().out
+        assert "psd: min eigenvalue 0.000e+00" in msg
+        assert "4/4 checks passed" in msg
+
+
+@pytest.mark.parametrize("flags", [[], ["--l-max", "19", "--p-max", "20"]])
+def test_verify_manifest_replays_checks(tmp_path, capsys, flags):
+    assert main(["verify", "--suite", "separability", *flags,
+                 "--out", str(tmp_path / "a")]) == EXIT_OK
+    first = capsys.readouterr().out
+    manifest = tmp_path / "a" / "run_manifest.txt"
+    # unset suite parameters stay out, so a replay keeps the suite's own defaults
+    assert ("l_max = 19" in manifest.read_text()) == bool(flags)
+    assert "grid =" not in manifest.read_text()
+    assert main(["verify", "--config", str(manifest), "--out", str(tmp_path / "b")]) == EXIT_OK
+    again = capsys.readouterr().out
+
+    def checks(text):
+        return [line for line in text.splitlines() if "runtime" not in line]
+
+    assert checks(again) == checks(first)
 
 
 @pytest.mark.parametrize("size", ["4", "10"])
@@ -252,6 +318,19 @@ def test_verify_separability_above_dense_cap(tmp_path, capsys, size):
     assert main(["verify", "--suite", "separability", "--l-max", size, "--p-max", size,
                  "--out", str(tmp_path)]) == EXIT_OK
     assert "4/4 checks passed" in capsys.readouterr().out
+
+
+def test_benchmark_tracer_binds_package_functions():
+    # the benchmark's tracer wraps these functions by module and name; one
+    # that moved or was renamed would otherwise surface only in a traced run
+    spec = importlib.util.spec_from_file_location(
+        "ghostbench_tracing", os.path.join(ROOT, "ghostbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, functions in tracing.TRACED.items():
+        module = importlib.import_module(module_name)
+        for name in functions:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
 def test_default_parameter_table():

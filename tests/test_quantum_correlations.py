@@ -17,7 +17,6 @@ from oamghost.quantum_correlations import (
     robustness,
     robustness_full_lattice,
     separability_decomposition,
-    write_discord_csv,
 )
 from oamghost.thermal_source import (
     build_spectrum,
@@ -254,7 +253,7 @@ def test_brute_force_random_pure_state():
     assert got == pytest.approx(expect, abs=1e-5)
 
 
-def test_discord_curve_rows_and_csv(tmp_path):
+def test_discord_curve_rows():
     sigma_gs = np.linspace(3e-4, 3e-3, 7)
     rows = discord_curve(SIGMA_S, sigma_gs, [(2, 2), (6, 6)])
     assert len(rows) == 14
@@ -268,15 +267,6 @@ def test_discord_curve_rows_and_csv(tmp_path):
         shallow = rows[2 * k]
         deep = rows[2 * k + 1]
         assert abs(deep[4] - deep[6]) <= abs(shallow[4] - shallow[6]) + 1e-12
-
-    path = tmp_path / "curve.csv"
-    write_discord_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "sigma_g_over_sigma_s,L,P,d,D_rho,D_rhoQ,D_inf"
-    assert len(lines) == 15
-    first = lines[1].split(",")
-    assert float(first[0]) == pytest.approx(0.3)
-    assert first[1:4] == ["2", "2", "15"]
 
 
 @pytest.mark.parametrize("dims", [[(0, 0), (2, 2)], [(60, 60), (100, 3)]])

@@ -22,7 +22,6 @@ from oamghost.spiral_imaging import (
     render_background,
     render_pure_image,
     render_total,
-    write_image_spectrum_csv,
     write_pgm16,
 )
 from oamghost.thermal_source import build_spectrum, flat_spectrum, source_geometry
@@ -210,6 +209,9 @@ def test_render_total_matches_explicit_pipeline():
     spectrum = build_spectrum(GEO, 2, 2)
     pure = render_pure_image(image_spectrum(coeffs, spectrum), spec, Z2)
     background, weight = render_background(coeffs, spectrum, spec, Z2)
+    np.testing.assert_array_equal(result.object_coefficients.values, coeffs.values)
+    np.testing.assert_array_equal(result.image_coefficients.values,
+                                  image_spectrum(coeffs, spectrum).values)
     np.testing.assert_allclose(result.pure_field.samples, pure.samples, atol=1e-14)
     np.testing.assert_allclose(result.background, background, rtol=1e-12)
     assert result.background_weight == pytest.approx(weight, rel=1e-12)
@@ -308,24 +310,12 @@ def test_read_pgm_errors(tmp_path):
         read_pgm(bad)
     short = tmp_path / "short.pgm"
     short.write_bytes(b"P5\n4 4\n255\n\x00\x01")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="short.pgm"):
         read_pgm(short)
-
-
-def test_image_spectrum_csv(tmp_path):
-    rng = np.random.default_rng(6)
-    a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    coeffs = ModeCoefficients(1, 1, a, -Z1, BEAM)
-    image = image_spectrum(coeffs, build_spectrum(GEO, 1, 1))
-    path = tmp_path / "modes.csv"
-    write_image_spectrum_csv(path, coeffs, image)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "l,p,re_A,im_A,re_B,im_B"
-    assert len(lines) == 7
-    row = lines[1].split(",")
-    assert (row[0], row[1]) == ("0", "0")
-    assert float(row[2]) == pytest.approx(coeffs.value(0, 0).real, rel=1e-15)
-    assert float(row[4]) == pytest.approx(image.value(0, 0).real, rel=1e-15)
-    with pytest.raises(ValueError):
-        write_image_spectrum_csv(path, coeffs, image_spectrum(
-            ModeCoefficients(2, 2, np.zeros((5, 3)), -Z1, BEAM), flat_spectrum(2, 2)))
+    # header numbers that are unparsable, empty or out of range name the file
+    for k, header in enumerate([b"P5\n2 2\n0\n", b"P5\n2 2\n65536\n", b"P5\n2 x\n255\n",
+                                b"P5\n-2 2\n255\n", b"P5\n0 2\n255\n", b"P5\n2 2\n2.5\n"]):
+        path = tmp_path / f"header{k}.pgm"
+        path.write_bytes(header + bytes(8))
+        with pytest.raises(ValueError, match=f"header{k}.pgm"):
+            read_pgm(path)

@@ -15,8 +15,6 @@ from oamghost.thermal_source import (
     schmidt_number,
     source_geometry,
     spectrum_amplitude,
-    write_marginal_csv,
-    write_spectrum_csv,
 )
 
 SIGMA_S = 1e-3
@@ -209,33 +207,3 @@ def test_csd_decomposition_warns_on_unresolved_coherence():
     geo = source_geometry(SIGMA_S, 1e-6)
     with pytest.warns(UserWarning, match="resolve"):
         csd_mode_decompose(geo, 0, 0, GridSpec(32, 1e-2))
-
-
-def test_spectrum_csv_format(tmp_path):
-    geo = source_geometry(SIGMA_S, 1e-4)
-    spec = build_spectrum(geo, 1, 1)
-    path = tmp_path / "spec.csv"
-    write_spectrum_csv(path, spec)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "l,p,P,P_squared"
-    got = [tuple(line.split(",")[:2]) for line in lines[1:]]
-    # (|l|, l, p) ordering: 0 before -1 before 1
-    assert got == [("0", "0"), ("0", "1"), ("-1", "0"), ("-1", "1"), ("1", "0"), ("1", "1")]
-    first = lines[1].split(",")
-    assert float(first[2]) == pytest.approx(spec.amplitude(0, 0), rel=1e-15)
-    assert float(first[3]) == pytest.approx(spec.amplitude(0, 0) ** 2, rel=1e-15)
-
-
-def test_marginal_csv_format(tmp_path):
-    geo = source_geometry(SIGMA_S, 1e-4)
-    spec = build_spectrum(geo, 2, 8)
-    path = tmp_path / "marg.csv"
-    write_marginal_csv(path, spec)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "l,P_l"
-    assert len(lines) == 1 + 5
-    ls = [int(line.split(",")[0]) for line in lines[1:]]
-    assert ls == [-2, -1, 0, 1, 2]
-    marg = spec.oam_marginal()
-    vals = [float(line.split(",")[1]) for line in lines[1:]]
-    np.testing.assert_allclose(vals, marg, rtol=1e-15)
