@@ -19,6 +19,7 @@ import numpy as np
 from .thermal_source import SourceGeometry, SpiralSpectrum, full_lattice_sums, source_geometry
 
 __all__ = [
+    "DENSE_VIEW_MAX_DIM",
     "SeparabilityCertificate",
     "ThermalState",
     "assemble_density",
@@ -41,11 +42,14 @@ def mode_basis(l_max: int, p_max: int) -> list[tuple[int, int]]:
     return [(l, p) for l in range(-l_max, l_max + 1) for p in range(p_max + 1)]
 
 
-def _check_dense(d: int, max_dim: int) -> None:
-    if d > max_dim:
+DENSE_VIEW_MAX_DIM = 36  # largest d whose dense d^2 x d^2 views may be built
+
+
+def _check_dense(d: int) -> None:
+    if d > DENSE_VIEW_MAX_DIM:
         raise ValueError(
-            f"single-photon dimension d = {d} exceeds the dense-view cap {max_dim} "
-            f"(operators would be {d * d} x {d * d}); lower l_max/p_max or raise max_dim"
+            f"single-photon dimension d = {d} exceeds the dense-view cap {DENSE_VIEW_MAX_DIM} "
+            f"(operators would be {d * d} x {d * d}); lower l_max/p_max"
         )
 
 
@@ -57,8 +61,8 @@ class ThermalState:
     of mode (-l, p) for mode i = (l, p). On the A-major product basis,
     rho_C = diag(P_i P_j) and rho_Q = |v><v| with v[i d + partner[i]] = P_i
     (pair_vector). rho_C, rho_Q and rho are dense views, built afresh on each
-    access and refused for d > max_dim. None of them is trace-normalized;
-    trace_rho = sum P^2 + (sum P)^2.
+    access and refused for d > DENSE_VIEW_MAX_DIM. None of them is
+    trace-normalized; trace_rho = sum P^2 + (sum P)^2.
     """
 
     spectrum: SpiralSpectrum
@@ -66,7 +70,6 @@ class ThermalState:
     pvec: np.ndarray
     partner: np.ndarray
     trace_rho: float
-    max_dim: int = 36
 
     @property
     def pair_vector(self) -> np.ndarray:
@@ -77,12 +80,12 @@ class ThermalState:
 
     @property
     def rho_C(self) -> np.ndarray:
-        _check_dense(self.d, self.max_dim)
+        _check_dense(self.d)
         return np.diag(np.kron(self.pvec, self.pvec))
 
     @property
     def rho_Q(self) -> np.ndarray:
-        _check_dense(self.d, self.max_dim)
+        _check_dense(self.d)
         v = self.pair_vector
         return np.outer(v, v)
 
@@ -93,16 +96,16 @@ class ThermalState:
         return rho
 
 
-def assemble_density(spectrum: SpiralSpectrum, max_dim: int = 36) -> ThermalState:
+def assemble_density(spectrum: SpiralSpectrum) -> ThermalState:
     """Structured thermal state for the truncated spectrum, of any dimension.
 
-    max_dim caps only the dense views rho_C, rho_Q and rho.
+    DENSE_VIEW_MAX_DIM caps only the dense views rho_C, rho_Q and rho.
     """
     nl, np_ = spectrum.amplitudes.shape
     pvec = spectrum.amplitudes.ravel()  # mode_basis order: l ascending, p ascending
     partner = np.arange(nl * np_).reshape(nl, np_)[::-1].ravel()  # row l + l_max -> -l + l_max
     trace = float(np.sum(pvec ** 2) + np.sum(pvec) ** 2)
-    return ThermalState(spectrum, spectrum.d, pvec, partner, trace, max_dim)
+    return ThermalState(spectrum, spectrum.d, pvec, partner, trace)
 
 
 def robustness(spectrum: SpiralSpectrum) -> float:
@@ -127,23 +130,23 @@ class SeparabilityCertificate:
     diagonal plus a positive multiple of |v><v| is PSD, so both pieces are
     certified from minus_diagonal alone. reconstruction_residual is the max
     absolute entrywise defect of the rewrite. rho_S_minus and rho_S_plus are
-    dense views, built afresh on each access and refused for d > max_dim.
+    dense views, built afresh on each access and refused for
+    d > DENSE_VIEW_MAX_DIM.
     """
 
     R: float
     minus_diagonal: np.ndarray
     pair_vector: np.ndarray
     reconstruction_residual: float
-    max_dim: int = 36
 
     @property
     def rho_S_minus(self) -> np.ndarray:
-        _check_dense(math.isqrt(self.minus_diagonal.size), self.max_dim)
+        _check_dense(math.isqrt(self.minus_diagonal.size))
         return np.diag(self.minus_diagonal)
 
     @property
     def rho_S_plus(self) -> np.ndarray:
-        _check_dense(math.isqrt(self.pair_vector.size), self.max_dim)
+        _check_dense(math.isqrt(self.pair_vector.size))
         plus = np.outer(self.pair_vector, self.pair_vector)
         plus[np.diag_indices_from(plus)] += self.R * self.minus_diagonal
         plus /= 1.0 + self.R
@@ -181,13 +184,13 @@ def separability_decomposition(state: ThermalState, psd_tol: float = 1e-10) -> S
                 "truncated spectrum has (sum P)^2 <= 1: no separating-noise budget; "
                 "use l_max >= 1 and a moderate t, or the full-lattice robustness"
             )
-        return SeparabilityCertificate(0.0, minus, v, residual, state.max_dim)
+        return SeparabilityCertificate(0.0, minus, v, residual)
 
     for name, diagonal in (("rho_S_minus", minus), ("rho_S_plus", r * minus / (1.0 + r))):
         low = float(np.min(diagonal))
         if low < -psd_tol:
             raise ValueError(f"{name} has negative diagonal entry {low:g}; construction bug")
-    return SeparabilityCertificate(r, minus, v, residual, state.max_dim)
+    return SeparabilityCertificate(r, minus, v, residual)
 
 
 def discord_from_sums(sum_p: float, sum_p2: float, sum_p4: float) -> float:
@@ -231,27 +234,26 @@ def brute_force_discord(
 ) -> float:
     """Search local bases on side B for the Hilbert-Schmidt discord minimum.
 
-    The candidate basis is the column set of exp(iH) over Hermitian H; the
-    search runs derivative-free (Powell) descent on the dim_b^2 real
-    parameters of H from the computational basis plus `restarts` random
-    starts. Every candidate value tr rho^2 - sum_k tr(<eta_k|rho|eta_k>^2) is
-    an upper bound on the true minimum, so the returned sampled minimum is
-    one as well.
+    The search maximises sum_k tr(<k|rho|k>^2) over bases {|k>} of B. With
+    M_ac the B-blocks of rho, that sum is the summed squared diagonals of
+    U^dag H U over the Hermitian parts H = (M + M^dag)/2 and (M - M^dag)/2i,
+    raised by complex Jacobi sweeps: per index pair (j, k), the closed-form
+    Givens rotation of Cardoso & Souloumiac (SIAM J. Matrix Anal. Appl. 17,
+    161 (1996)). Jacobi finds local maxima, so sweeps run from the
+    computational basis and from `restarts` seeded random bases; a start
+    ends after `iterations` sweeps or a sweep gaining at most 1e-14 tr rho^2.
+    Every candidate is a basis, so every value tr rho^2 - sum_k
+    tr(<k|rho|k>^2) is an upper bound on the true minimum, as is the least.
 
     rho must be the trace-normalized density operator on the A-major product
     basis, with side-B dimension dim_b.
     """
-    from scipy.linalg import expm
-    from scipy.optimize import minimize
-
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"rho must be square, got shape {rho.shape}")
     total = rho.shape[0]
     if dim_b <= 0 or total % dim_b != 0:
         raise ValueError(f"dim_b = {dim_b} does not divide the total dimension {total}")
-    if dim_b > 6:
-        raise ValueError(f"basis search over dim_b = {dim_b} > 6 is not budgeted")
     if float(np.max(np.abs(rho - rho.conj().T))) > 1e-9:
         raise ValueError("rho is not Hermitian within 1e-9")
     if abs(float(np.trace(rho).real) - 1.0) > 1e-9:
@@ -260,31 +262,32 @@ def brute_force_discord(
         raise ValueError("rho is not positive semidefinite within 1e-9")
 
     dim_a = total // dim_b
-    rho4 = rho.reshape(dim_a, dim_b, dim_a, dim_b)
-    purity = float(np.trace(rho @ rho).real)
-    n_par = dim_b * dim_b
-    # theta = (diagonal of H, then Re/Im pairs of the upper triangle, row-major).
-    upper = np.triu_indices(dim_b, 1)
-    lower = upper[::-1]
-    diagonal = np.diag_indices(dim_b)
-
-    def objective(theta: np.ndarray) -> float:
-        h = np.zeros((dim_b, dim_b), dtype=complex)
-        h[diagonal] = theta[:dim_b]
-        h[upper] = theta[dim_b::2] + 1j * theta[dim_b + 1::2]
-        h[lower] = np.conj(h[upper])
-        u = expm(1j * h)
-        meas = np.einsum("bk,abcd,dk->ack", u.conj(), rho4, u)
-        return purity - float(np.real(np.einsum("ack,cak->", meas, meas)))
-
-    options = {"maxiter": iterations, "xtol": 1e-9, "ftol": 1e-12, "maxfev": 60000}
+    blocks = rho.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3).reshape(-1, dim_b, dim_b)
+    adjoint = blocks.conj().transpose(0, 2, 1)
+    herm = np.concatenate([blocks + adjoint, (blocks - adjoint) / 1j]) / 2.0
+    purity = float(np.sum(np.abs(rho) ** 2))  # tr rho^2, rho Hermitian
     rng = np.random.default_rng(seed)
-    best = objective(np.zeros(n_par))
+    best = 0.0
     for attempt in range(max(restarts, 0) + 1):
-        theta0 = np.zeros(n_par) if attempt == 0 else rng.normal(0.0, 1.0, n_par)
-        result = minimize(objective, theta0, method="Powell", options=options)
-        best = min(best, float(result.fun))
-    return max(best, 0.0)
+        u = np.linalg.qr(rng.normal(size=(dim_b, dim_b, 2)) @ [1.0, 1j])[0] if attempt else np.eye(dim_b)
+        h = np.einsum("bk,mbl->mkl", u.conj(), np.einsum("mbc,cl->mbl", herm, u))
+        value = float(np.sum(np.diagonal(h, 0, 1, 2).real ** 2))
+        for _ in range(iterations):
+            previous = value
+            for j, k in zip(*np.triu_indices(dim_b, 1)):
+                g = np.stack([(h[:, j, j] - h[:, k, k]).real, 2.0 * h[:, j, k].real, -2.0 * h[:, j, k].imag])
+                top = np.linalg.eigh(np.einsum("im,jm->ij", g, g))[1][:, -1]
+                x, y, z = top if top[0] >= 0.0 else -top
+                c = math.sqrt((1.0 + x) / 2.0)
+                s = (y + 1j * z) / (2.0 * c)
+                rot = np.array([[c, -np.conj(s)], [s, c]])
+                h[:, :, [j, k]] = np.einsum("mab,bc->mac", h[:, :, [j, k]], rot)
+                h[:, [j, k], :] = np.einsum("ba,mbc->mac", rot.conj(), h[:, [j, k], :])
+            value = float(np.sum(np.diagonal(h, 0, 1, 2).real ** 2))
+            if value - previous <= 1e-14 * purity:
+                break
+        best = max(best, value)
+    return max(purity - best, 0.0)
 
 
 def _truncated_sums(t: np.ndarray, l_max: int, p_max: int, k: int) -> np.ndarray:

@@ -333,6 +333,15 @@ def test_benchmark_tracer_binds_package_functions():
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
+def test_package_exports_every_library_name():
+    for module_name in ("field_grid", "quantum_correlations", "spiral_imaging", "thermal_source"):
+        module = importlib.import_module(f"oamghost.{module_name}")
+        for name in module.__all__:
+            assert getattr(oamghost, name) is getattr(module, name), f"{module_name}.{name}"
+            assert name in oamghost.__all__
+    assert len(oamghost.__all__) == len(set(oamghost.__all__))
+
+
 def test_default_parameter_table():
     assert DEFAULTS["sigma_g"] == 2.5e-5
     assert DEFAULTS["samples"] == 200

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import oamghost
 from oamghost.quantum_correlations import (
     assemble_density,
     brute_force_discord,
@@ -205,24 +209,42 @@ def test_pure_discord_values():
     assert geometric_discord_pure(flat_spectrum(0, 3)) == pytest.approx(0.75, rel=1e-14)
 
 
+def _rotated_thermal(sigma_g, p_max, rng):
+    """Trace-normalized l_max = 0 thermal state turned by a Haar-random unitary on side B."""
+    spec = build_spectrum(source_geometry(SIGMA_S, sigma_g), 0, p_max)
+    state = assemble_density(spec)
+    d = state.d
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    u = np.kron(np.eye(d), q * (np.diag(r) / np.abs(np.diag(r))))
+    return u @ (state.rho / state.trace_rho) @ u.conj().T, d, geometric_discord_thermal(spec)
+
+
 def test_brute_force_validation():
     with pytest.raises(ValueError):
         brute_force_discord(np.ones((3, 4)), 2)
     with pytest.raises(ValueError):
         brute_force_discord(np.eye(6) / 6.0, 4)  # 6 not divisible by 4
-    with pytest.raises(ValueError):
-        brute_force_discord(np.eye(49) / 49.0, 7)  # side dimension too large
     bad = np.eye(4) / 4.0
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         brute_force_discord(bad, 2)  # not Hermitian
     with pytest.raises(ValueError):
         brute_force_discord(np.eye(4), 2)  # trace 4
+    # no cap on the side dimension: d = 12 converges from one start
+    rho, d, closed = _rotated_thermal(0.5 * SIGMA_S, 11, np.random.default_rng(12))
+    assert d == 12
+    assert brute_force_discord(rho, d, restarts=0) == pytest.approx(closed, abs=1e-10)
 
 
 def test_brute_force_product_state_is_classical():
     rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]))
     assert brute_force_discord(rho, 2, restarts=2, iterations=200) <= 1e-9
+    # every rotation of the maximally mixed state gains nothing, so each start
+    # must end after its first sweep rather than run all 400 (seconds at d = 7)
+    t0 = time.perf_counter()
+    assert brute_force_discord(np.eye(16) / 16.0, 4) <= 1e-12
+    assert brute_force_discord(np.eye(49) / 49.0, 7) <= 1e-12
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_brute_force_bell_state():
@@ -240,6 +262,12 @@ def test_brute_force_thermal_matches_closed_form():
     closed = geometric_discord_thermal(spec)
     assert got == pytest.approx(closed, abs=1e-6)
     assert got >= closed - 1e-9
+    # rotated d = 4 states start away from the optimum, which a wrong
+    # rotation sign would never reach
+    rng = np.random.default_rng(4)
+    for sigma_g in (0.3 * SIGMA_S, 0.5 * SIGMA_S, 1.5 * SIGMA_S):
+        rho, d, closed = _rotated_thermal(sigma_g, 3, rng)
+        assert brute_force_discord(rho, d, restarts=0) == pytest.approx(closed, abs=1e-10)
 
 
 def test_brute_force_random_pure_state():
@@ -251,6 +279,18 @@ def test_brute_force_random_pure_state():
     expect = 1.0 - float(np.sum(lam ** 2))
     got = brute_force_discord(rho, 2, restarts=6)
     assert got == pytest.approx(expect, abs=1e-5)
+
+
+def test_brute_force_leaves_scipy_optimize_and_linalg_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oamghost.__file__)))
+    code = (
+        "import sys, numpy as np\n"
+        "from oamghost.quantum_correlations import brute_force_discord\n"
+        "v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)\n"
+        "assert abs(brute_force_discord(np.outer(v, v), 2) - 0.5) < 1e-10\n"
+        "sys.exit('scipy.optimize' in sys.modules or 'scipy.linalg' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_discord_curve_rows():
