@@ -9,12 +9,19 @@ There are two LG evaluators. lg_amplitude evaluates one mode at arbitrary
 polar points and serves as the independent pointwise oracle. _lg_blocks is
 the separable raster engine: an LG mode factors as radial(|l|, p) x
 exp(i l phi) x curvature chirp x Gouy phase, so one radial stack per |l|
-serves every p and both signs of l. Decomposition and synthesis in
-spiral_imaging run on it directly; iter_lg_rasters is its per-mode view.
+serves every p and both signs of l. Everything but exp(i l phi) depends on
+the pixel radius alone, and on a centred square grid the radius takes few
+values: r^2 = key (pitch/2)^2 with the integer key (2i-N+1)^2 + (2j-N+1)^2,
+so 20,604 shells cover the 262,144 pixels of a 512^2 window. The engine
+builds the radial stack and the chirp over the shells and hands out the
+per-pixel shell index (_shells, cached per grid) to gather them back.
+Decomposition and synthesis in spiral_imaging run on it directly;
+iter_lg_rasters is its per-mode view.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import warnings
@@ -55,6 +62,7 @@ class GridSpec:
     def __post_init__(self):
         if int(self.side_points) != self.side_points or self.side_points < 2:
             raise ValueError(f"side_points must be an integer >= 2, got {self.side_points}")
+        object.__setattr__(self, "side_points", int(self.side_points))
         if not (self.extent > 0 and math.isfinite(self.extent)):
             raise ValueError(f"extent must be positive and finite, got {self.extent}")
 
@@ -194,24 +202,53 @@ def lg_amplitude(mode: ModeIndex, beam: BeamSpec, radius, azimuth, z: float = 0.
     return radial * np.exp(1j * phase)
 
 
+@functools.lru_cache(maxsize=4)
+def _shells(spec: GridSpec):
+    """Radius shells of the window: (r2, inverse, eiphi), all read-only.
+
+    - r2: the (S,) distinct squared pixel radii key (pitch/2)^2, ascending;
+    - inverse: the (N^2,) shell index of each flattened pixel;
+    - eiphi: the (N^2,) per-pixel exp(i phi).
+
+    The keys are marked in a boolean table of every possible key, so the
+    index is a cumulative count and nothing is sorted. Cached per grid: a
+    job that runs several engine passes on one window builds this once.
+    """
+    n = spec.side_points
+    offsets = (2 * np.arange(n) - n + 1) ** 2
+    keys = (offsets[:, None] + offsets[None, :]).ravel()
+    present = np.zeros(2 * (n - 1) ** 2 + 1, dtype=bool)
+    present[keys] = True
+    r2 = np.flatnonzero(present) * (0.5 * spec.pixel_pitch) ** 2
+    inverse = (np.cumsum(present) - 1)[keys]
+    eiphi = np.exp(1j * spec.polar()[1].ravel())
+    for arr in (r2, inverse, eiphi):
+        arr.flags.writeable = False
+    return r2, inverse, eiphi
+
+
 def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int):
     """Separable LG engine: yield one block per |l| = 0, 1, ..., l_max.
 
-    Each block is (radial, harmonic, gouy, chirp) with, over the flattened
-    pixels of the window,
+    Each block is (radial, harmonic, gouy, chirp, inverse). Over the S radius
+    shells of the window (see _shells) and its flattened pixels,
 
-        LG(+-|l|, p) = radial[p] * (harmonic or conj(harmonic)) * gouy[p] * chirp
+        LG(+-|l|, p) = (radial[p] * gouy[p] * chirp)[inverse]
+                       * (harmonic or conj(harmonic))
 
-    - radial: real (p_max + 1, N^2) normalized radial factors, built with the
+    - radial: real (p_max + 1, S) normalized radial factors, built with the
       three-term Laguerre recurrence (Abramowitz & Stegun 22.7.12) with the
       normalization carried inside it, so nothing overflows;
-    - harmonic: exp(i |l| phi), by repeated multiplication;
+    - harmonic: the per-pixel exp(i |l| phi), by repeated multiplication;
     - gouy: the (p_max + 1,) Gouy phases exp(-i (2p + |l| + 1) arctan(z/zR));
-    - chirp: the curvature phase exp(i k rho^2 / 2R(z)), or None at z = 0.
+    - chirp: the (S,) curvature phase exp(i k rho^2 / 2R(z)), or None at z = 0;
+    - inverse: the read-only per-pixel shell index, the same in every block.
 
-    The radial buffer is overwritten by the next block; copy what must outlive
-    it. Emits one ModeClippedWarning when the largest mode of the lattice,
-    LG(l_max, p_max), spills past the window by the _mode_radius rule.
+    Work on the shells, then gather through inverse once per pixel. The
+    radial and harmonic buffers are overwritten by the next block; copy what
+    must outlive it. Emits one ModeClippedWarning when the largest mode of
+    the lattice, LG(l_max, p_max), spills past the window by the _mode_radius
+    rule.
     """
     radius = _mode_radius(beam, z, l_max, p_max)
     if radius > 0.5 * spec.extent:
@@ -222,8 +259,7 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
             stacklevel=3,
         )
 
-    r, phi = spec.polar()
-    r2 = (r * r).ravel()
+    r2, inverse, eiphi = _shells(spec)
     w = beam.width(z)
     zr = beam.rayleigh_range
     if z == 0.0:
@@ -235,7 +271,6 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
         psi = math.atan2(z, zr)
     x = 2.0 * r2 / (w * w)
     sqrt_x = np.sqrt(x)
-    eiphi = np.exp(1j * phi.ravel())
     orders = 2 * np.arange(p_max + 1) + 1
 
     radial = np.empty((p_max + 1, x.size))
@@ -245,7 +280,7 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
         if a:
             u0 *= sqrt_x
             u0 /= math.sqrt(a)
-            harmonic = harmonic * eiphi
+            harmonic *= eiphi
         radial[0] = u0
         for p in range(p_max):
             nxt = (2 * p + 1 + a - x) * radial[p]
@@ -253,17 +288,17 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
                 nxt -= math.sqrt(p * (p + a)) * radial[p - 1]
             nxt /= math.sqrt((p + 1) * (p + 1 + a))
             radial[p + 1] = nxt
-        yield radial, harmonic, np.exp(-1j * (orders + a) * psi), chirp
+        yield radial, harmonic, np.exp(-1j * (orders + a) * psi), chirp, inverse
 
 
 def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
     """Yield (mode, raster) for each requested mode, grouped by |l| ascending.
 
     Per-mode view of _lg_blocks, the separable engine behind the imaging
-    functions: radial factors are built once per |l| over the lattice that
-    spans the requested modes, and that lattice's largest mode decides the
-    ModeClippedWarning. Yielded rasters are freshly allocated (N, N) arrays
-    and safe to keep.
+    functions: radial factors are built once per |l| over the radius shells
+    of the lattice that spans the requested modes, and that lattice's largest
+    mode decides the ModeClippedWarning. Yielded rasters are freshly
+    allocated (N, N) arrays and safe to keep.
     """
     modes = [m if isinstance(m, ModeIndex) else ModeIndex(*m) for m in modes]
     if not modes:
@@ -272,13 +307,14 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
     p_max = max(m.p for m in modes)
     shape = (spec.side_points, spec.side_points)
     blocks = _lg_blocks(beam, spec, z, l_max, p_max)
-    for l_abs, (radial, harmonic, gouy, chirp) in enumerate(blocks):
+    for l_abs, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
         for mode in modes:
             if abs(mode.l) != l_abs:
                 continue
-            out = radial[mode.p] * (harmonic if mode.l >= 0 else np.conj(harmonic)) * gouy[mode.p]
+            shell = radial[mode.p] * gouy[mode.p]
             if chirp is not None:
-                out *= chirp
+                shell *= chirp
+            out = shell[inverse] * (harmonic if mode.l >= 0 else np.conj(harmonic))
             yield mode, out.reshape(shape)
 
 

@@ -6,10 +6,14 @@ and the image plane at +z2 receives a coherent "pure" term on top of an
 object-weighted incoherent background. The total intensity is
 background + |pure|^2 by construction.
 
-The per-|l| sums over pixels are np.einsum contractions, which run in
-numpy's own single-threaded loops. These few-row products gain nothing from
-threaded BLAS, whose idle worker spins on the other core: with `@`, on a
-2-core machine, a job took twice its wall time in CPU, and its wall time
+All three passes work on the radius shells of field_grid._lg_blocks and
+touch each pixel only to fold it into its shell (np.bincount) or to gather
+its shell's value back, times the azimuthal harmonic. Per-pixel products use
+the harmonic's real and imaginary parts, which keeps the temporaries real
+and few. The radial contractions over shells are np.einsum calls, which run
+in numpy's own single-threaded loops. These few-row products gain nothing
+from threaded BLAS, whose idle worker spins on the other core: with `@`, on
+a 2-core machine, a job took twice its wall time in CPU, and its wall time
 rose and fell with whatever else ran on that core.
 """
 
@@ -161,21 +165,28 @@ def _check_truncation(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> Non
 def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_max: int) -> ModeCoefficients:
     """Overlap coefficients of the object against LG modes at plane -z1.
 
-    One real contraction per |l| gives the +|l| and -|l| rows together.
+    Per |l|, the object is folded into radius shells once for each sign of l,
+    and one contraction over the shells gives the +|l| and -|l| rows.
     """
     if l_max < 0 or p_max < 0:
         raise ValueError("l_max and p_max must be nonnegative")
     plane = -float(z1)
     values = np.zeros((2 * l_max + 1, p_max + 1), dtype=complex)
     target = obj.samples.ravel() * obj.spec.pixel_area
+    re, im = target.real.copy(), target.imag.copy()
     blocks = _lg_blocks(beam, obj.spec, plane, l_max, p_max)
-    for l, (radial, harmonic, gouy, chirp) in enumerate(blocks):
-        base = target if chirp is None else target * np.conj(chirp)
-        plus = base * np.conj(harmonic)
-        minus = base * harmonic
-        parts = np.einsum("pn,kn->kp", radial, np.stack([plus.real, plus.imag, minus.real, minus.imag]))
-        values[l_max + l] = np.conj(gouy) * (parts[0] + 1j * parts[1])
-        values[l_max - l] = np.conj(gouy) * (parts[2] + 1j * parts[3])
+    for l, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
+        # Shell sums of target * exp(-i|l|phi) (row +|l|) and target * exp(+i|l|phi)
+        # (row -|l|), from four real products.
+        cos, sin = harmonic.real, harmonic.imag
+        a, b, c, d = (np.bincount(inverse, u * v, radial.shape[1])
+                      for u, v in ((re, cos), (im, sin), (im, cos), (re, sin)))
+        shells = np.stack([(a + b) + 1j * (c - d), (a - b) + 1j * (c + d)])
+        if chirp is not None:
+            shells *= np.conj(chirp)
+        parts = np.einsum("pn,kn->kp", radial, shells.real) + 1j * np.einsum("pn,kn->kp", radial, shells.imag)
+        values[l_max + l] = np.conj(gouy) * parts[0]
+        values[l_max - l] = np.conj(gouy) * parts[1]
     return ModeCoefficients(l_max, p_max, values, plane, beam)
 
 
@@ -196,14 +207,17 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
     l_max = coeffs.l_max
     acc = np.zeros(spec.side_points ** 2, dtype=complex)
     blocks = _lg_blocks(coeffs.beam, spec, float(z2), l_max, coeffs.p_max)
-    for l, (radial, harmonic, gouy, chirp) in enumerate(blocks):
-        plus = coeffs.values[l_max + l] * gouy
-        minus = coeffs.values[l_max - l] * gouy
-        parts = np.einsum("kp,pn->kn", np.stack([plus.real, plus.imag, minus.real, minus.imag]), radial)
-        block = harmonic * (parts[0] + 1j * parts[1])
+    for l, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
+        weights = np.stack([coeffs.values[l_max + l], coeffs.values[l_max - l]]) * gouy
+        shells = np.einsum("kp,pn->kn", weights.real, radial) + 1j * np.einsum("kp,pn->kn", weights.imag, radial)
+        if chirp is not None:
+            shells *= chirp
         if l:
-            block += np.conj(harmonic) * (parts[2] + 1j * parts[3])
-        acc += block if chirp is None else block * chirp
+            # exp(i|l|phi) A + exp(-i|l|phi) B = cos (A + B) + sin i (A - B), with real factors.
+            acc += harmonic.real * (shells[0] + shells[1])[inverse]
+            acc += harmonic.imag * (1j * (shells[0] - shells[1]))[inverse]
+        else:
+            acc += shells[0][inverse]
     return ComplexField(spec, acc.reshape(spec.side_points, spec.side_points))
 
 
@@ -217,17 +231,18 @@ def render_background(
 
     weight = sum P |A|^2 over the truncation; the raster is
     weight * sum_{l', p'} P_{l', p'} |LG_{l', p'}(rho, z2)|^2, azimuthally
-    symmetric because every |LG|^2 is purely radial.
+    symmetric because every |LG|^2 is purely radial: one profile over the
+    radius shells, gathered once onto the pixels.
     """
     _check_truncation(coeffs, spectrum)
     l_max = spectrum.l_max
     weight = float(np.sum(spectrum.amplitudes * np.abs(coeffs.values) ** 2))
-    mix = np.zeros(spec.side_points ** 2)
+    mix = 0.0
     blocks = _lg_blocks(coeffs.beam, spec, float(z2), l_max, spectrum.p_max)
-    for l, (radial, _, _, _) in enumerate(blocks):
+    for l, (radial, _, _, _, inverse) in enumerate(blocks):
         amps = spectrum.amplitudes[l_max + l] + (spectrum.amplitudes[l_max - l] if l else 0.0)
-        mix += np.einsum("p,pn,pn->n", amps, radial, radial)
-    return weight * mix.reshape(spec.side_points, spec.side_points), weight
+        mix = mix + np.einsum("p,pn,pn->n", amps, radial, radial)
+    return (weight * mix)[inverse].reshape(spec.side_points, spec.side_points), weight
 
 
 def render_total(

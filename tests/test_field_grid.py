@@ -11,6 +11,7 @@ from oamghost.field_grid import (
     ModeIndex,
     default_grid,
     inner_product,
+    _shells,
     intensity_and_phase,
     iter_lg_rasters,
     lg_amplitude,
@@ -220,6 +221,48 @@ def test_iter_matches_oracle_at_high_order():
         for mode, raster in iter_lg_rasters(BEAM, spec, z, modes):
             ref = lg_amplitude(mode, BEAM, r, phi, z)
             assert np.max(np.abs(raster - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("side", [81, 80])
+def test_iter_matches_oracle_on_odd_and_even_grids(side):
+    # The odd grid has a pixel centre at r = 0, where every l != 0 mode vanishes.
+    spec = GridSpec(side, 10.0 * WAIST)
+    r, phi = spec.polar()
+    modes = [ModeIndex(l, p) for l in (-3, 0, 1, 4) for p in (0, 1, 5)]
+    for z in (0.0, -0.7 * BEAM.rayleigh_range):
+        for mode, raster in iter_lg_rasters(BEAM, spec, z, modes):
+            ref = lg_amplitude(mode, BEAM, r, phi, z)
+            assert np.max(np.abs(raster - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("side", [2, 63, 80, 81])
+def test_shell_radii_match_polar(side):
+    spec = GridSpec(side, 8.0 * WAIST)
+    r2, inverse, eiphi = _shells(spec)
+    r, phi = spec.polar()
+    assert np.all(np.diff(r2) > 0)
+    # polar() forms each coordinate as (i + 1/2) pitch - extent / 2, whose rounding
+    # error is absolute, so near the centre the tolerance scales with the window.
+    np.testing.assert_allclose(r2[inverse], (r * r).ravel(), rtol=1e-14, atol=1e-14 * r2[-1])
+    np.testing.assert_array_equal(eiphi, np.exp(1j * phi.ravel()))
+
+
+def test_shells_read_only_and_cached():
+    spec = GridSpec(64.0, 1e-2)
+    assert spec.side_points == 64 and isinstance(spec.side_points, int)
+    arrays = _shells(spec)
+    assert all(not a.flags.writeable for a in arrays)
+    assert _shells(GridSpec(64, 1e-2))[1] is arrays[1]
+    with pytest.raises(ValueError):
+        arrays[1][0] = 1
+    ((_, raster),) = iter_lg_rasters(BEAM, spec, 0.0, [ModeIndex(2, 1)])
+    assert raster.shape == (64, 64)
+
+
+def test_shell_count_at_512():
+    r2, inverse, _ = _shells(GridSpec(512, 1e-2))
+    assert r2.size == 20604
+    assert inverse.size == 512 ** 2 and inverse.max() == r2.size - 1
 
 
 def test_default_grid_is_at_least_eight_waists():
