@@ -205,6 +205,20 @@ class CsdTensor:
         return complex(self.coefficients[l + self.l_max, l_prime + self.l_max, p, p_prime])
 
 
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
+
+def _flush_tiny(a: np.ndarray) -> np.ndarray:
+    """Zero the entries of a below sqrt(tiny) in magnitude, in place; return their mask.
+
+    The product of two flushed numbers is zero or normal, so matrix products
+    of flushed operands never take the slow subnormal path.
+    """
+    tiny = np.abs(a) < _SQRT_TINY
+    a[tiny] = 0.0
+    return tiny
+
+
 def oracle_grid(geometry: SourceGeometry, l_max: int, p_max: int, side_points: int = 128) -> GridSpec:
     """Window for csd_mode_decompose: contains the highest requested mode with margin."""
     w = geometry.matched_waist
@@ -228,10 +242,28 @@ def csd_mode_decompose(
                           d^2 rho1 d^2 rho2
 
     as a nested projection: first the per-pixel partial projection
-    g_{l,p}(rho2) = int W LG* d^2 rho1, then the rho2 projection against every
-    second mode. The Gaussian coherence coupling factorizes over x and y, so
-    the rho1 integral for each mode reduces to two side_points^2 matrix
-    products; the quadrature sums are the plain midpoint-rule ones.
+    g_{l,p}(rho2) = E(rho2) int K(rho1 - rho2) E(rho1) LG*_{l,p}(rho1) d^2 rho1,
+    with W = E(rho1) E(rho2) K(rho1 - rho2), then the rho2 projection against
+    every second mode. The quadrature sums are the plain midpoint-rule ones.
+
+    Everything runs in real arithmetic over the l >= 0 half of the lattice.
+    Write LG(l, p) = u + i v with real u and v, and G_u, G_v for the partial
+    projections of u and v times dA:
+
+    - half-lattice: at z = 0, LG(-l, p) = conj LG(l, p) and W is real, so
+      only the (l_max + 1)(p_max + 1) modes with l >= 0 are rastered and
+      blurred;
+    - blur: K factorizes over x and y into one real side_points^2 kernel, so
+      the 2 (p_max + 1) real parts u, v of one |l| block are blurred by two
+      real matrix products (columns, then rows), streamed block by block;
+    - projection: the window is mirror-symmetric in y, under which u and G_u
+      are even and v and G_v odd, so the mixed sums of G_u v and G_v u
+      vanish. The two real products a = G_u u^T and b = G_v v^T give the
+      whole (real) table: f[l, l'] = f[-l, -l'] = a - b and
+      f[l, -l'] = f[-l, l'] = a + b;
+    - floor: kernel, integrand and partial entries below sqrt(tiny) are set
+      to zero, so no product in these sums is subnormal. The dropped terms
+      are below about 1e-150; kept, they would only slow the products down.
 
     This is a cross-check oracle, not a production path: truncations or grids
     beyond the default runtime budget are refused unless allow_large is set.
@@ -252,36 +284,43 @@ def csd_mode_decompose(
             stacklevel=2,
         )
 
-    beam = BeamSpec(geometry.matched_waist, wavelength)
-    modes = [ModeIndex(l, p) for l in range(-l_max, l_max + 1) for p in range(p_max + 1)]
+    n = spec.side_points
+    np_ = p_max + 1
     x, y = spec.grids()
     envelope = np.exp(-(x * x + y * y) / (4.0 * geometry.sigma_s ** 2))
-    area = spec.pixel_area
+    kernel = None
+    if math.isfinite(geometry.sigma_g):
+        offset = np.arange(n) * spec.pixel_pitch
+        kernel = np.exp(-((offset[:, None] - offset[None, :]) ** 2) / (2.0 * geometry.sigma_g ** 2))
+        _flush_tiny(kernel)
 
-    coherent = math.isinf(geometry.sigma_g)
-    if not coherent:
-        ax = spec.axis()
-        ay = ax[::-1]
-        kx = np.exp(-((ax[:, None] - ax[None, :]) ** 2) / (2.0 * geometry.sigma_g ** 2))
-        ky = np.exp(-((ay[:, None] - ay[None, :]) ** 2) / (2.0 * geometry.sigma_g ** 2))
-        # Subnormal kernel entries add nothing above rounding but slow the products.
-        kx[kx < np.finfo(float).tiny] = 0.0
-        ky[ky < np.finfo(float).tiny] = 0.0
-
-    partials = np.empty((n_modes, spec.side_points ** 2), dtype=complex)
-    raster_conj = np.empty_like(partials)
+    # [part, l, p] holds u (part 0) and v (part 1) of LG(l, p) in rasters, and
+    # G_u and G_v in partials, for l >= 0.
+    rasters = np.empty((2, l_max + 1, np_, n, n))
+    partials = np.empty_like(rasters)
+    beam = BeamSpec(geometry.matched_waist, wavelength)
+    modes = [ModeIndex(l, p) for l in range(l_max + 1) for p in range(np_)]
     for mode, raster in iter_lg_rasters(beam, spec, 0.0, modes):
-        i = (mode.l + l_max) * (p_max + 1) + mode.p
-        f1 = envelope * np.conj(raster)
-        if coherent:
-            g = np.full_like(f1, f1.sum())
+        l, p = mode.l, mode.p
+        rasters[:, l, p] = raster.real, raster.imag
+        if p < p_max:
+            continue
+        integrand = rasters[:, l] * envelope
+        # envelope <= 1, so this also zeroes the rasters' own entries below the floor.
+        rasters[:, l][_flush_tiny(integrand)] = 0.0
+        if kernel is None:
+            partials[:, l] = integrand.sum(axis=(2, 3), keepdims=True)
         else:
-            g = ky.T @ f1 @ kx
-        partials[i] = (envelope * g * area).ravel()
-        raster_conj[i] = np.conj(raster).ravel()
+            np.matmul(kernel, integrand @ kernel, out=partials[:, l])
+        partials[:, l] *= envelope * spec.pixel_area
+        _flush_tiny(partials[:, l])
 
-    flat = partials @ raster_conj.T * area  # [i, j] = sum_rho2 g_i conj(LG_j) dA
+    half = (l_max + 1) * np_
+    shape = (l_max + 1, np_, l_max + 1, np_)
+    a, b = ((partials[k].reshape(half, -1) @ rasters[k].reshape(half, -1).T)
+            .reshape(shape).transpose(0, 2, 1, 3) * spec.pixel_area for k in (0, 1))
     nl = 2 * l_max + 1
-    np_ = p_max + 1
-    coeffs = flat.reshape(nl, np_, nl, np_).transpose(0, 2, 1, 3)
+    coeffs = np.empty((nl, nl, np_, np_))
+    coeffs[l_max:, l_max:] = coeffs[l_max::-1, l_max::-1] = a - b  # f[l, l'] = f[-l, -l']
+    coeffs[l_max:, l_max::-1] = coeffs[l_max::-1, l_max:] = a + b  # f[l, -l'] = f[-l, l']
     return CsdTensor(l_max, p_max, coeffs)

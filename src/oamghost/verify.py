@@ -107,7 +107,7 @@ def suite_discord_extremum(l_max: int = 60, p_max: int = 60, samples: int = 200,
                     f"peak discord {values[k]:.9f}, |peak - 1/64| = {peak_err:.3e} (tol 1e-4)"),
         CheckResult("limit-agreement", agree <= 1e-3,
                     f"max |truncated - closed form| = {agree:.3e} for ratio >= 0.5 (tol 1e-3)"),
-        CheckResult("runtime", elapsed < 10.0, f"{elapsed:.2f} s (budget 10 s)"),
+        CheckResult("runtime", elapsed < 2.0, f"{elapsed:.2f} s (budget 2 s)"),
     ]
 
 
@@ -157,7 +157,7 @@ def suite_csd_oracle(side_points: int = 128, l_max: int = 3, p_max: int = 3) -> 
     results = _csd_checks("partially-coherent", 1e-3, 1e-4, l_max, p_max, side_points)
     results += _csd_checks("quasihomogeneous", 1e-3, 2.5e-5, l_max, p_max, side_points)
     elapsed = time.perf_counter() - t0
-    results.append(CheckResult("runtime", elapsed < 600.0, f"{elapsed:.2f} s (budget 600 s)"))
+    results.append(CheckResult("runtime", elapsed < 2.0, f"{elapsed:.2f} s (budget 2 s)"))
     return results
 
 
@@ -256,7 +256,7 @@ def suite_separability(l_max: int | None = None, p_max: int | None = None,
     results.append(CheckResult("full-lattice-robustness", abs(r_full - 1.0) <= 1e-12,
                                f"(sum P)^2 - 1 = {r_full:.15f} at sigma_g = 2 sigma_s"))
     elapsed = time.perf_counter() - t0
-    results.append(CheckResult("runtime", elapsed < 30.0, f"{elapsed:.2f} s (budget 30 s)"))
+    results.append(CheckResult("runtime", elapsed < 5.0, f"{elapsed:.2f} s (budget 5 s)"))
     return results
 
 
@@ -439,7 +439,7 @@ def suite_mode_math(side_points: int = 512, seed: int = 0) -> list[CheckResult]:
     results.append(CheckResult("conjugation-identity", worst <= 1e-12,
                                f"max relative deviation {worst:.3e} over 200 draws (tol 1e-12)"))
     elapsed = time.perf_counter() - t0
-    results.append(CheckResult("runtime", elapsed < 60.0, f"{elapsed:.2f} s (budget 60 s)"))
+    results.append(CheckResult("runtime", elapsed < 30.0, f"{elapsed:.2f} s (budget 30 s)"))
     return results
 
 

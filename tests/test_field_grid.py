@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oamghost.field_grid import (
     BeamSpec,
@@ -233,6 +236,34 @@ def test_iter_matches_oracle_on_odd_and_even_grids(side):
         for mode, raster in iter_lg_rasters(BEAM, spec, z, modes):
             ref = lg_amplitude(mode, BEAM, r, phi, z)
             assert np.max(np.abs(raster - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _raster_pair(spec, z1, mode1, z2, mode2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModeClippedWarning)
+        ((_, a),) = iter_lg_rasters(BEAM, spec, z1, [mode1])
+        ((_, b),) = iter_lg_rasters(BEAM, spec, z2, [mode2])
+    return a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(side=st.integers(2, 40), extent=st.floats(2.0, 12.0), l=st.integers(0, 12),
+       p=st.integers(0, 6))
+def test_iter_conjugation_at_focus_is_exact(side, extent, l, p):
+    # csd_mode_decompose rasters only l >= 0 and takes the l < 0 modes as conjugates.
+    spec = GridSpec(side, extent * WAIST)
+    neg, pos = _raster_pair(spec, 0.0, ModeIndex(-l, p), 0.0, ModeIndex(l, p))
+    assert np.array_equal(neg, np.conj(pos))
+
+
+@settings(max_examples=40, deadline=None)
+@given(side=st.integers(2, 40), extent=st.floats(2.0, 12.0), l=st.integers(-12, 12),
+       p=st.integers(0, 6), z=st.floats(0.01, 3.0), sign=st.sampled_from([1.0, -1.0]))
+def test_iter_conjugation_identity_off_focus(side, extent, l, p, z, sign):
+    spec = GridSpec(side, extent * WAIST)
+    z *= sign * BEAM.rayleigh_range
+    a, b = _raster_pair(spec, z, ModeIndex(-l, p), -z, ModeIndex(l, p))
+    assert np.max(np.abs(a - np.conj(b))) <= 1e-14 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("side", [2, 63, 80, 81])

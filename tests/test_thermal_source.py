@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamghost.field_grid import GridSpec, ModeIndex
+from oamghost.field_grid import BeamSpec, GridSpec, ModeIndex, lg_amplitude
 from oamghost.thermal_source import (
     SpiralSpectrum,
     build_spectrum,
@@ -207,3 +207,34 @@ def test_csd_decomposition_warns_on_unresolved_coherence():
     geo = source_geometry(SIGMA_S, 1e-6)
     with pytest.warns(UserWarning, match="resolve"):
         csd_mode_decompose(geo, 0, 0, GridSpec(32, 1e-2))
+
+
+def dense_csd_projection(geo, l_max, p_max, spec):
+    """f = A^T W A dA^2 with W the dense N^2 x N^2 CSD at the pixel centres and
+    A the conjugate LG modes from the pointwise oracle, one column per (l, p)."""
+    x, y = spec.grids()
+    points = np.stack([x.ravel(), y.ravel()], axis=-1)
+    w = csd_value(points[:, None, :], points[None, :, :], geo)
+    r, phi = spec.polar()
+    beam = BeamSpec(geo.matched_waist)
+    a = np.stack([np.conj(lg_amplitude(ModeIndex(l, p), beam, r, phi)).ravel()
+                  for l in range(-l_max, l_max + 1) for p in range(p_max + 1)], axis=1)
+    f = a.T @ w @ a * spec.pixel_area ** 2
+    nl, np_ = 2 * l_max + 1, p_max + 1
+    return f.reshape(nl, np_, nl, np_).transpose(0, 2, 1, 3)
+
+
+@pytest.mark.parametrize("sigma_g,l_max,p_max", [
+    (2.0 * SIGMA_S, 2, 2),
+    (1.2 * SIGMA_S, 2, 2),
+    (math.inf, 2, 2),
+    (1.5 * SIGMA_S, 0, 2),
+])
+def test_csd_decomposition_matches_dense_quadrature(sigma_g, l_max, p_max):
+    # Uses neither the separable kernel nor the l -> -l conjugation of the engine.
+    geo = source_geometry(SIGMA_S, sigma_g)
+    spec = oracle_grid(geo, l_max, p_max, 20)
+    expect = dense_csd_projection(geo, l_max, p_max, spec)
+    got = csd_mode_decompose(geo, l_max, p_max, spec).coefficients
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
