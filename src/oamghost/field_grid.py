@@ -294,6 +294,8 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
 def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
     """Yield (mode, raster) for each requested mode, grouped by |l| ascending.
 
+    Within one |l| the modes come in the order they were requested.
+
     Per-mode view of _lg_blocks, the separable engine behind the imaging
     functions: radial factors are built once per |l| over the radius shells
     of the lattice that spans the requested modes, and that lattice's largest

@@ -205,20 +205,6 @@ class CsdTensor:
         return complex(self.coefficients[l + self.l_max, l_prime + self.l_max, p, p_prime])
 
 
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
-
-
-def _flush_tiny(a: np.ndarray) -> np.ndarray:
-    """Zero the entries of a below sqrt(tiny) in magnitude, in place; return their mask.
-
-    The product of two flushed numbers is zero or normal, so matrix products
-    of flushed operands never take the slow subnormal path.
-    """
-    tiny = np.abs(a) < _SQRT_TINY
-    a[tiny] = 0.0
-    return tiny
-
-
 def oracle_grid(geometry: SourceGeometry, l_max: int, p_max: int, side_points: int = 128) -> GridSpec:
     """Window for csd_mode_decompose: contains the highest requested mode with margin."""
     w = geometry.matched_waist
@@ -261,9 +247,11 @@ def csd_mode_decompose(
       vanish. The two real products a = G_u u^T and b = G_v v^T give the
       whole (real) table: f[l, l'] = f[-l, -l'] = a - b and
       f[l, -l'] = f[-l, l'] = a + b;
-    - floor: kernel, integrand and partial entries below sqrt(tiny) are set
-      to zero, so no product in these sums is subnormal. The dropped terms
-      are below about 1e-150; kept, they would only slow the products down.
+    - floor: kernel entries below sqrt(tiny) are set to zero. The dropped
+      terms are below about 1e-150; kept, they would only slow the blur
+      down. On oracle_grid windows (l_max, p_max <= 6) the integrand stays
+      above sqrt(tiny), so no product in the blur is subnormal; on windows a
+      few times wider it reaches the subnormal range and the blur slows.
 
     This is a cross-check oracle, not a production path: truncations or grids
     beyond the default runtime budget are refused unless allow_large is set.
@@ -292,7 +280,8 @@ def csd_mode_decompose(
     if math.isfinite(geometry.sigma_g):
         offset = np.arange(n) * spec.pixel_pitch
         kernel = np.exp(-((offset[:, None] - offset[None, :]) ** 2) / (2.0 * geometry.sigma_g ** 2))
-        _flush_tiny(kernel)
+        # Below sqrt(tiny), products with the integrand could be subnormal.
+        kernel[kernel < math.sqrt(np.finfo(float).tiny)] = 0.0
 
     # [part, l, p] holds u (part 0) and v (part 1) of LG(l, p) in rasters, and
     # G_u and G_v in partials, for l >= 0.
@@ -306,14 +295,11 @@ def csd_mode_decompose(
         if p < p_max:
             continue
         integrand = rasters[:, l] * envelope
-        # envelope <= 1, so this also zeroes the rasters' own entries below the floor.
-        rasters[:, l][_flush_tiny(integrand)] = 0.0
         if kernel is None:
             partials[:, l] = integrand.sum(axis=(2, 3), keepdims=True)
         else:
             np.matmul(kernel, integrand @ kernel, out=partials[:, l])
         partials[:, l] *= envelope * spec.pixel_area
-        _flush_tiny(partials[:, l])
 
     half = (l_max + 1) * np_
     shape = (l_max + 1, np_, l_max + 1, np_)

@@ -200,9 +200,11 @@ def test_intensity_and_phase_of_vortex():
 def test_iter_matches_sample():
     spec = GridSpec(96, 8.0 * WAIST)
     z = 0.7 * BEAM.rayleigh_range
-    modes = [ModeIndex(l, p) for l in (-2, 0, 3) for p in (0, 2)]
-    bulk = dict(iter_lg_rasters(BEAM, spec, z, modes))
-    assert set(bulk) == set(modes)
+    modes = [ModeIndex(l, p) for p in (2, 0) for l in (3, -2, 0, 2)]
+    pairs = list(iter_lg_rasters(BEAM, spec, z, modes))
+    # Grouped by |l| ascending, in request order within each |l|.
+    assert [mode for mode, _ in pairs] == sorted(modes, key=lambda m: abs(m.l))
+    bulk = dict(pairs)
     for mode in modes:
         single = sample(mode, spec, z)
         np.testing.assert_allclose(bulk[mode], single.samples, atol=1e-12)
