@@ -232,21 +232,39 @@ def csd_mode_decompose(
     with W = E(rho1) E(rho2) K(rho1 - rho2), then the rho2 projection against
     every second mode. The quadrature sums are the plain midpoint-rule ones.
 
-    Everything runs in real arithmetic over the l >= 0 half of the lattice.
-    Write LG(l, p) = u + i v with real u and v, and G_u, G_v for the partial
-    projections of u and v times dA:
+    Everything runs in real arithmetic over the l >= 0 half of the lattice
+    and over one quarter of the window. Write LG(l, p) = u + i v with real u
+    and v, and G_u, G_v for the partial projections of u and v:
 
     - half-lattice: at z = 0, LG(-l, p) = conj LG(l, p) and W is real, so
       only the (l_max + 1)(p_max + 1) modes with l >= 0 are rastered and
       blurred;
-    - blur: K factorizes over x and y into one real side_points^2 kernel, so
-      the 2 (p_max + 1) real parts u, v of one |l| block are blurred by two
-      real matrix products (columns, then rows), streamed block by block;
-    - projection: the window is mirror-symmetric in y, under which u and G_u
-      are even and v and G_v odd, so the mixed sums of G_u v and G_v u
-      vanish. The two real products a = G_u u^T and b = G_v v^T give the
+    - parities: the window, E and K are symmetric under both mirrors x -> -x
+      and y -> -y, so each part keeps a fixed parity on each axis, and its
+      partial projection the same one:
+
+          part   y-parity   x-parity
+          u      even       (-1)^l
+          v      odd        -(-1)^l
+
+    - quarter window: every part is known from its ceil(N/2)^2 quarter
+      (rows and columns 0 ... ceil(N/2) - 1). K factorizes over x and y into
+      one real Toeplitz kernel; folded onto the quarter for a part of parity
+      s on an axis, it is K_s[q, k] = K[q, k] + s K[q, mirror(k)], so the
+      blur of a quarter X is K_sy @ X @ K_sx^T, two real products per part
+      and |l| block. For odd N the centre column is its own mirror: it is
+      halved in K_+ and vanishes in K_-;
+    - projection: the products G_u u' and G_v v' are even in y (the mixed
+      G_u v' and G_v u' are odd and vanish), and in x they have parity
+      (-1)^(l - l'). For l - l' odd they sum to exactly zero over the
+      window. Otherwise their window sum is the quarter sum with weight 2 per
+      axis, 1 on the centre row and column of odd N. The two real products
+      a = G_u u^T and b = G_v v^T, taken per parity class of l, give the
       whole (real) table: f[l, l'] = f[-l, -l'] = a - b and
       f[l, -l'] = f[-l, l'] = a + b;
+    - sigma_g = inf: K = 1, so G = E times the window sum of u E or v E.
+      Only u with even l is even on both axes; every other part sums to
+      zero and is not summed;
     - floor: kernel entries below sqrt(tiny) are set to zero. The dropped
       terms are below about 1e-150; kept, they would only slow the blur
       down. On oracle_grid windows (l_max, p_max <= 6) the integrand stays
@@ -273,38 +291,57 @@ def csd_mode_decompose(
         )
 
     n = spec.side_points
+    h = (n + 1) // 2
     np_ = p_max + 1
     x, y = spec.grids()
+    x, y = x[:h, :h], y[:h, :h]
     envelope = np.exp(-(x * x + y * y) / (4.0 * geometry.sigma_s ** 2))
+    # Each quarter pixel stands for itself and its mirror images.
+    axis_weight = np.full(h, 2.0)
+    if n % 2:
+        axis_weight[-1] = 1.0
+    weight = np.outer(axis_weight, axis_weight)
     kernel = None
     if math.isfinite(geometry.sigma_g):
         offset = np.arange(n) * spec.pixel_pitch
-        kernel = np.exp(-((offset[:, None] - offset[None, :]) ** 2) / (2.0 * geometry.sigma_g ** 2))
+        kernel = np.exp(-((offset[:h, None] - offset[None, :]) ** 2) / (2.0 * geometry.sigma_g ** 2))
         # Below sqrt(tiny), products with the integrand could be subnormal.
         kernel[kernel < math.sqrt(np.finfo(float).tiny)] = 0.0
+        near, far = kernel[:, :h], kernel[:, ::-1][:, :h]  # K[q, k], K[q, mirror(k)]
+        k_plus, k_minus = near + far, near - far
+        if n % 2:
+            k_plus[:, -1] *= 0.5
 
-    # [part, l, p] holds u (part 0) and v (part 1) of LG(l, p) in rasters, and
-    # G_u and G_v in partials, for l >= 0.
-    rasters = np.empty((2, l_max + 1, np_, n, n))
+    # [part, l, p] holds the quarters of u (part 0) and v (part 1) of LG(l, p)
+    # in rasters, and of G_u and G_v in partials, for l >= 0.
+    rasters = np.empty((2, l_max + 1, np_, h, h))
     partials = np.empty_like(rasters)
     beam = BeamSpec(geometry.matched_waist, wavelength)
     modes = [ModeIndex(l, p) for l in range(l_max + 1) for p in range(np_)]
+    projection_weight = envelope * weight * spec.pixel_area
     for mode, raster in iter_lg_rasters(beam, spec, 0.0, modes):
         l, p = mode.l, mode.p
-        rasters[:, l, p] = raster.real, raster.imag
+        rasters[:, l, p] = raster.real[:h, :h], raster.imag[:h, :h]
         if p < p_max:
             continue
         integrand = rasters[:, l] * envelope
         if kernel is None:
-            partials[:, l] = integrand.sum(axis=(2, 3), keepdims=True)
+            partials[:, l] = 0.0
+            if l % 2 == 0:
+                partials[0, l] = np.sum(integrand[0] * weight, axis=(1, 2), keepdims=True)
         else:
-            np.matmul(kernel, integrand @ kernel, out=partials[:, l])
-        partials[:, l] *= envelope * spec.pixel_area
+            kx_u, kx_v = (k_plus, k_minus) if l % 2 == 0 else (k_minus, k_plus)
+            np.matmul(k_plus, integrand[0] @ kx_u.T, out=partials[0, l])
+            np.matmul(k_minus, integrand[1] @ kx_v.T, out=partials[1, l])
+        partials[:, l] *= projection_weight
 
-    half = (l_max + 1) * np_
-    shape = (l_max + 1, np_, l_max + 1, np_)
-    a, b = ((partials[k].reshape(half, -1) @ rasters[k].reshape(half, -1).T)
-            .reshape(shape).transpose(0, 2, 1, 3) * spec.pixel_area for k in (0, 1))
+    # np.einsum, not a BLAS @: a threaded product here waits on OpenBLAS's
+    # worker thread, which after an idle pause made each call 4x slower.
+    a, b = np.zeros((2, l_max + 1, l_max + 1, np_, np_))
+    for parity in (0, 1):
+        for k, out in ((0, a), (1, b)):
+            out[parity::2, parity::2] = np.einsum(
+                "lpxy,mqxy->lmpq", partials[k, parity::2], rasters[k, parity::2]) * spec.pixel_area
     nl = 2 * l_max + 1
     coeffs = np.empty((nl, nl, np_, np_))
     coeffs[l_max:, l_max:] = coeffs[l_max::-1, l_max::-1] = a - b  # f[l, l'] = f[-l, -l']

@@ -157,7 +157,7 @@ def suite_csd_oracle(side_points: int = 128, l_max: int = 3, p_max: int = 3) -> 
     results = _csd_checks("partially-coherent", 1e-3, 1e-4, l_max, p_max, side_points)
     results += _csd_checks("quasihomogeneous", 1e-3, 2.5e-5, l_max, p_max, side_points)
     elapsed = time.perf_counter() - t0
-    results.append(CheckResult("runtime", elapsed < 2.0, f"{elapsed:.2f} s (budget 2 s)"))
+    results.append(CheckResult("runtime", elapsed < 0.5, f"{elapsed:.2f} s (budget 0.5 s)"))
     return results
 
 

@@ -112,6 +112,18 @@ def test_non_utf8_config_file_is_usage_error(tmp_path, capsys):
     assert "utf16.cfg" in capsys.readouterr().err
 
 
+def test_garbage_object_pgm_exits_1_without_traceback(tmp_path):
+    garbage = tmp_path / "garbage.pgm"
+    garbage.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff not a pgm")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oamghost.__file__)))
+    run = subprocess.run([sys.executable, "-m", "oamghost.cli", "image", "--object", str(garbage),
+                          "--grid", "32", "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_USAGE
+    assert "Traceback" not in run.stderr
+    assert "garbage.pgm" in run.stderr
+
+
 def test_unwritable_out_is_io_error(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("x")

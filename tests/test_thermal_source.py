@@ -224,16 +224,20 @@ def dense_csd_projection(geo, l_max, p_max, spec):
     return f.reshape(nl, np_, nl, np_).transpose(0, 2, 1, 3)
 
 
-@pytest.mark.parametrize("sigma_g,l_max,p_max", [
-    (2.0 * SIGMA_S, 2, 2),
-    (1.2 * SIGMA_S, 2, 2),
-    (math.inf, 2, 2),
-    (1.5 * SIGMA_S, 0, 2),
-])
-def test_csd_decomposition_matches_dense_quadrature(sigma_g, l_max, p_max):
-    # Uses neither the separable kernel nor the l -> -l conjugation of the engine.
+@pytest.mark.parametrize("sigma_g,l_max,p_max,side_points", [
+    (2.0 * SIGMA_S, 2, 2, 20),
+    (1.2 * SIGMA_S, 2, 2, 20),
+    (math.inf, 2, 2, 20),
+    (1.5 * SIGMA_S, 0, 2, 20),
+    (1.2 * SIGMA_S, 2, 2, 21),
+    (math.inf, 2, 2, 21),
+], ids=["0.002-2-2", "0.0012-2-2", "inf-2-2", "0.0015-0-2", "0.0012-2-2-odd21", "inf-2-2-odd21"])
+def test_csd_decomposition_matches_dense_quadrature(sigma_g, l_max, p_max, side_points):
+    # Uses neither the separable kernel, nor the l -> -l conjugation, nor the
+    # mirror folding onto a quarter window of the engine; odd side_points puts
+    # a centre row and column on the mirror lines.
     geo = source_geometry(SIGMA_S, sigma_g)
-    spec = oracle_grid(geo, l_max, p_max, 20)
+    spec = oracle_grid(geo, l_max, p_max, side_points)
     expect = dense_csd_projection(geo, l_max, p_max, spec)
     got = csd_mode_decompose(geo, l_max, p_max, spec).coefficients
     assert got.shape == expect.shape
