@@ -11,12 +11,27 @@ the separable raster engine: an LG mode factors as radial(|l|, p) x
 exp(i l phi) x curvature chirp x Gouy phase, so one radial stack per |l|
 serves every p and both signs of l. Everything but exp(i l phi) depends on
 the pixel radius alone, and on a centred square grid the radius takes few
-values: r^2 = key (pitch/2)^2 with the integer key (2i-N+1)^2 + (2j-N+1)^2,
-so 20,604 shells cover the 262,144 pixels of a 512^2 window. The engine
-builds the radial stack and the chirp over the shells and hands out the
-per-pixel shell index (_shells, cached per grid) to gather them back.
-Decomposition and synthesis in spiral_imaging run on it directly;
-iter_lg_rasters is its per-mode view.
+values: r^2 = key (pitch/2)^2 with the integer key (2i-N+1)^2 + (2j-N+1)^2.
+The engine builds the radial stack and the chirp over these shells and
+gathers them back through a per-pixel shell index (_shells, cached per grid).
+
+It does so on one quarter of the window only, the ceil(N/2)^2 block of rows
+and columns 0 ... ceil(N/2) - 1 (x <= 0, y >= 0), which already holds every
+shell: 20,604 shells cover the 65,536 quarter pixels of a 512^2 window. The
+other three quarters are mirror images. Mirroring x -> -x maps exp(i l phi)
+to (-1)^l exp(-i l phi), and y -> -y maps it to exp(-i l phi), so with a
+radial factor S(r) the parts S cos(l phi) and i S sin(l phi) of a mode each
+have a fixed sign under each mirror:
+
+    part         x-mirror     y-mirror
+    cos(l phi)   (-1)^l       +1
+    sin(l phi)   -(-1)^l      -1
+
+A sum over the window folds onto the quarter (_fold), and a raster built on
+the quarter unfolds onto the window (_mirror_fill). For odd N the centre
+row and column are their own mirror images and are counted once.
+Decomposition and synthesis in spiral_imaging run on the quarter engine
+directly; iter_lg_rasters is its per-mode view.
 """
 
 from __future__ import annotations
@@ -204,51 +219,119 @@ def lg_amplitude(mode: ModeIndex, beam: BeamSpec, radius, azimuth, z: float = 0.
 
 @functools.lru_cache(maxsize=4)
 def _shells(spec: GridSpec):
-    """Radius shells of the window: (r2, inverse, eiphi), all read-only.
+    """Radius shells of the window's quarter: (r2, inverse, eiphi), all read-only.
 
     - r2: the (S,) distinct squared pixel radii key (pitch/2)^2, ascending;
-    - inverse: the (N^2,) shell index of each flattened pixel;
-    - eiphi: the (N^2,) per-pixel exp(i phi).
+    - inverse: the (h, h) shell index of each quarter pixel, h = ceil(N/2);
+    - eiphi: the (h, h) per-pixel exp(i phi) of the quarter.
 
-    The keys are marked in a boolean table of every possible key, so the
-    index is a cumulative count and nothing is sorted. Cached per grid: a
-    job that runs several engine passes on one window builds this once.
+    The quarter is rows and columns 0 ... h - 1 of the window; it holds
+    every shell of the window. The keys are marked in a boolean table of
+    every possible key, so the index is a cumulative count and nothing is
+    sorted. Cached per grid: a job that runs several engine passes on one
+    window builds this once.
     """
     n = spec.side_points
-    offsets = (2 * np.arange(n) - n + 1) ** 2
-    keys = (offsets[:, None] + offsets[None, :]).ravel()
+    h = (n + 1) // 2
+    offsets = (2 * np.arange(h) - n + 1) ** 2
+    keys = offsets[:, None] + offsets[None, :]
     present = np.zeros(2 * (n - 1) ** 2 + 1, dtype=bool)
     present[keys] = True
     r2 = np.flatnonzero(present) * (0.5 * spec.pixel_pitch) ** 2
     inverse = (np.cumsum(present) - 1)[keys]
-    eiphi = np.exp(1j * spec.polar()[1].ravel())
+    eiphi = np.exp(1j * spec.polar()[1][:h, :h])
     for arr in (r2, inverse, eiphi):
         arr.flags.writeable = False
     return r2, inverse, eiphi
+
+
+def _fold(t: np.ndarray) -> np.ndarray:
+    """Signed mirror sums of an (N, N) raster onto its (h, h) quarter.
+
+    Returns a (2, 2, h, h) array indexed [sx, sy], 0 for the sign +1 and 1
+    for -1: t at each quarter pixel, plus sx times t at its x-mirror image
+    (column N - 1 - j), sy times t at its y-mirror image (row N - 1 - i) and
+    sx sy times t at its xy-mirror image. For odd N the centre row and
+    column are counted once.
+    """
+    n = t.shape[0]
+    h = (n + 1) // 2
+    m = n - h
+    rows = np.empty((2, h, n), dtype=t.dtype)
+    rows[:] = t[:h]
+    mirror = t[: h - 1 : -1]  # rows N - 1 ... h, the y-images of rows 0 ... m - 1
+    rows[0, :m] += mirror
+    rows[1, :m] -= mirror
+    out = np.empty((2, 2, h, h), dtype=t.dtype)
+    out[:] = rows[:, :, :h]
+    mirror = rows[:, :, : h - 1 : -1]
+    out[0, :, :, :m] += mirror
+    out[1, :, :, :m] -= mirror
+    return out
+
+
+def _mirror_slots(l_abs: int):
+    """[sx, sy] slots (see _fold) of the cos(|l| phi) and sin(|l| phi) terms.
+
+    Their mirror signs are those of the table in the module docstring.
+    """
+    return (l_abs % 2, 0), (1 - l_abs % 2, 1)
+
+
+def _unfold(n: int, parts: np.ndarray) -> np.ndarray:
+    """(n, n) raster from (2, 2, h, h) quarter parts indexed [sx, sy], the adjoint of _fold.
+
+    Each part holds terms of mirror signs sx and sy; the quarter gets their
+    sum and each mirror image of a quarter pixel their signed sum.
+    """
+    even, odd = parts[:, 0] + parts[:, 1]  # even and odd under x -> -x
+    even_y, odd_y = parts[:, 0] - parts[:, 1]  # the same at the y-images
+    return _mirror_fill(n, even + odd, even - odd, even_y + odd_y, even_y - odd_y)
+
+
+def _mirror_fill(n: int, q, x, y, xy) -> np.ndarray:
+    """(n, n) raster from (h, h) quarter blocks.
+
+    q holds the quarter itself; x, y and xy hold, at each quarter pixel, the
+    value at its x-, y- and xy-mirror image. For odd n the centre row and
+    column are their own images and come from q alone.
+    """
+    h = q.shape[0]
+    m = n - h
+    flip = slice(None, h - 1, -1)  # N - 1 ... h, the images of 0 ... m - 1
+    out = np.empty((n, n), dtype=q.dtype)
+    out[:h, :h] = q
+    out[:h, flip] = x[:, :m]
+    out[flip, :h] = y[:m]
+    out[flip, flip] = xy[:m, :m]
+    return out
 
 
 def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int):
     """Separable LG engine: yield one block per |l| = 0, 1, ..., l_max.
 
     Each block is (radial, harmonic, gouy, chirp, inverse). Over the S radius
-    shells of the window (see _shells) and its flattened pixels,
+    shells of the window and its (h, h) quarter (see _shells),
 
         LG(+-|l|, p) = (radial[p] * gouy[p] * chirp)[inverse]
                        * (harmonic or conj(harmonic))
 
+    on the quarter; the rest of the window follows by the mirror signs in
+    the module docstring.
+
     - radial: real (p_max + 1, S) normalized radial factors, built with the
       three-term Laguerre recurrence (Abramowitz & Stegun 22.7.12) with the
       normalization carried inside it, so nothing overflows;
-    - harmonic: the per-pixel exp(i |l| phi), by repeated multiplication;
+    - harmonic: the quarter's exp(i |l| phi), by repeated multiplication;
     - gouy: the (p_max + 1,) Gouy phases exp(-i (2p + |l| + 1) arctan(z/zR));
     - chirp: the (S,) curvature phase exp(i k rho^2 / 2R(z)), or None at z = 0;
-    - inverse: the read-only per-pixel shell index, the same in every block.
+    - inverse: the read-only quarter shell index, the same in every block.
 
-    Work on the shells, then gather through inverse once per pixel. The
-    radial and harmonic buffers are overwritten by the next block; copy what
-    must outlive it. Emits one ModeClippedWarning when the largest mode of
-    the lattice, LG(l_max, p_max), spills past the window by the _mode_radius
-    rule.
+    Work on the shells, then gather through inverse once per quarter pixel.
+    The radial and harmonic buffers are overwritten by the next block; copy
+    what must outlive it. Emits one ModeClippedWarning when the largest mode
+    of the lattice, LG(l_max, p_max), spills past the window by the
+    _mode_radius rule.
     """
     radius = _mode_radius(beam, z, l_max, p_max)
     if radius > 0.5 * spec.extent:
@@ -299,15 +382,15 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
     Per-mode view of _lg_blocks, the separable engine behind the imaging
     functions: radial factors are built once per |l| over the radius shells
     of the lattice that spans the requested modes, and that lattice's largest
-    mode decides the ModeClippedWarning. Yielded rasters are freshly
-    allocated (N, N) arrays and safe to keep.
+    mode decides the ModeClippedWarning. Each raster is built on the quarter
+    and mirror-filled onto the window; yielded rasters are freshly allocated
+    (N, N) arrays and safe to keep.
     """
     modes = [m if isinstance(m, ModeIndex) else ModeIndex(*m) for m in modes]
     if not modes:
         return
     l_max = max(abs(m.l) for m in modes)
     p_max = max(m.p for m in modes)
-    shape = (spec.side_points, spec.side_points)
     blocks = _lg_blocks(beam, spec, z, l_max, p_max)
     for l_abs, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
         for mode in modes:
@@ -316,8 +399,14 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
             shell = radial[mode.p] * gouy[mode.p]
             if chirp is not None:
                 shell *= chirp
-            out = shell[inverse] * (harmonic if mode.l >= 0 else np.conj(harmonic))
-            yield mode, out.reshape(shape)
+            shell = shell[inverse]
+            # The quarter and its xy-image carry exp(i l phi), the x- and
+            # y-images exp(-i l phi), the x- and xy-images times (-1)^l.
+            same, flipped = shell * harmonic, shell * np.conj(harmonic)
+            if mode.l < 0:
+                same, flipped = flipped, same
+            sign = -1 if l_abs % 2 else 1
+            yield mode, _mirror_fill(spec.side_points, same, sign * flipped, flipped, sign * same)
 
 
 def inner_product(a: ComplexField, b: ComplexField) -> complex:

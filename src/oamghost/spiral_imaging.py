@@ -6,15 +6,24 @@ and the image plane at +z2 receives a coherent "pure" term on top of an
 object-weighted incoherent background. The total intensity is
 background + |pure|^2 by construction.
 
-All three passes work on the radius shells of field_grid._lg_blocks and
-touch each pixel only to fold it into its shell (np.bincount) or to gather
-its shell's value back, times the azimuthal harmonic. Per-pixel products use
-the harmonic's real and imaginary parts, which keeps the temporaries real
-and few. The radial contractions over shells are np.einsum calls, which run
-in numpy's own single-threaded loops. These few-row products gain nothing
-from threaded BLAS, whose idle worker spins on the other core: with `@`, on
-a 2-core machine, a job took twice its wall time in CPU, and its wall time
-rose and fell with whatever else ran on that core.
+All three passes run on the quarter engine of field_grid._lg_blocks: per
+|l| they touch only the ceil(N/2)^2 quarter of the window, to fold a pixel
+into its radius shell (np.bincount) or to gather its shell's value back,
+times the azimuthal harmonic. The rest of the window follows from the
+mirror parities of exp(i l phi) (see field_grid): the terms cos(|l| phi)
+and sin(|l| phi) each have a fixed sign under x -> -x and y -> -y, set by
+their kind and by the parity of l. object_spectrum folds the object once
+into the four signed mirror sums of its quarter and contracts each term
+with the matching one; render_pure_image adds each term into the quarter
+accumulator of its sign pair and writes the four blocks of the window in
+one mirror step at the end; render_background's raster is even under both
+mirrors. Per-pixel products use the harmonic's real and imaginary parts,
+which keeps the temporaries real and few. The radial contractions over
+shells are np.einsum calls, which run in numpy's own single-threaded loops.
+These few-row products gain nothing from threaded BLAS, whose idle worker
+spins on the other core: with `@`, on a 2-core machine, a job took twice
+its wall time in CPU, and its wall time rose and fell with whatever else
+ran on that core.
 """
 
 from __future__ import annotations
@@ -24,7 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_grid import BeamSpec, ComplexField, GridSpec, _lg_blocks
+from .field_grid import (
+    BeamSpec,
+    ComplexField,
+    GridSpec,
+    _fold,
+    _lg_blocks,
+    _mirror_fill,
+    _mirror_slots,
+    _unfold,
+)
 from .thermal_source import SpiralSpectrum, SourceGeometry, build_spectrum
 
 __all__ = [
@@ -165,22 +183,28 @@ def _check_truncation(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> Non
 def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_max: int) -> ModeCoefficients:
     """Overlap coefficients of the object against LG modes at plane -z1.
 
-    Per |l|, the object is folded into radius shells once for each sign of l,
-    and one contraction over the shells gives the +|l| and -|l| rows.
+    The object is folded once into the four signed mirror sums of its
+    quarter. Per |l|, the cos(|l| phi) and sin(|l| phi) terms are folded
+    into radius shells against the mirror sum of their signs, and one
+    contraction over the shells gives the +|l| and -|l| rows.
     """
     if l_max < 0 or p_max < 0:
         raise ValueError("l_max and p_max must be nonnegative")
     plane = -float(z1)
     values = np.zeros((2 * l_max + 1, p_max + 1), dtype=complex)
-    target = obj.samples.ravel() * obj.spec.pixel_area
-    re, im = target.real.copy(), target.imag.copy()
+    folded = _fold(obj.samples * obj.spec.pixel_area)
+    re, im = folded.real.copy(), folded.imag.copy()
     blocks = _lg_blocks(beam, obj.spec, plane, l_max, p_max)
     for l, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
         # Shell sums of target * exp(-i|l|phi) (row +|l|) and target * exp(+i|l|phi)
-        # (row -|l|), from four real products.
-        cos, sin = harmonic.real, harmonic.imag
-        a, b, c, d = (np.bincount(inverse, u * v, radial.shape[1])
-                      for u, v in ((re, cos), (im, sin), (im, cos), (re, sin)))
+        # (row -|l|), from four real products: a, c with cos, and b, d with sin.
+        index = inverse.ravel()
+        n_shells = radial.shape[1]
+        cos_slot, sin_slot = _mirror_slots(l)
+        a, c = (np.bincount(index, (part[cos_slot] * harmonic.real).ravel(), n_shells)
+                for part in (re, im))
+        b, d = (np.bincount(index, (part[sin_slot] * harmonic.imag).ravel(), n_shells)
+                for part in (im, re))
         shells = np.stack([(a + b) + 1j * (c - d), (a - b) + 1j * (c + d)])
         if chirp is not None:
             shells *= np.conj(chirp)
@@ -205,20 +229,23 @@ def image_spectrum(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> ModeCo
 def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> ComplexField:
     """Coherent sum of coefficient-weighted LG modes at plane +z2."""
     l_max = coeffs.l_max
-    acc = np.zeros(spec.side_points ** 2, dtype=complex)
+    # Quarter accumulators indexed [sx, sy] by the terms' mirror signs (see _fold).
+    h = (spec.side_points + 1) // 2
+    acc = np.zeros((2, 2, h, h), dtype=complex)
     blocks = _lg_blocks(coeffs.beam, spec, float(z2), l_max, coeffs.p_max)
     for l, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
         weights = np.stack([coeffs.values[l_max + l], coeffs.values[l_max - l]]) * gouy
         shells = np.einsum("kp,pn->kn", weights.real, radial) + 1j * np.einsum("kp,pn->kn", weights.imag, radial)
         if chirp is not None:
             shells *= chirp
+        cos_slot, sin_slot = _mirror_slots(l)
         if l:
             # exp(i|l|phi) A + exp(-i|l|phi) B = cos (A + B) + sin i (A - B), with real factors.
-            acc += harmonic.real * (shells[0] + shells[1])[inverse]
-            acc += harmonic.imag * (1j * (shells[0] - shells[1]))[inverse]
+            acc[cos_slot] += harmonic.real * (shells[0] + shells[1])[inverse]
+            acc[sin_slot] += harmonic.imag * (1j * (shells[0] - shells[1]))[inverse]
         else:
-            acc += shells[0][inverse]
-    return ComplexField(spec, acc.reshape(spec.side_points, spec.side_points))
+            acc[cos_slot] += shells[0][inverse]
+    return ComplexField(spec, _unfold(spec.side_points, acc))
 
 
 def render_background(
@@ -232,7 +259,7 @@ def render_background(
     weight = sum P |A|^2 over the truncation; the raster is
     weight * sum_{l', p'} P_{l', p'} |LG_{l', p'}(rho, z2)|^2, azimuthally
     symmetric because every |LG|^2 is purely radial: one profile over the
-    radius shells, gathered once onto the pixels.
+    radius shells, gathered once onto the quarter and mirrored.
     """
     _check_truncation(coeffs, spectrum)
     l_max = spectrum.l_max
@@ -242,7 +269,8 @@ def render_background(
     for l, (radial, _, _, _, inverse) in enumerate(blocks):
         amps = spectrum.amplitudes[l_max + l] + (spectrum.amplitudes[l_max - l] if l else 0.0)
         mix = mix + np.einsum("p,pn,pn->n", amps, radial, radial)
-    return (weight * mix)[inverse].reshape(spec.side_points, spec.side_points), weight
+    quarter = (weight * mix)[inverse]
+    return _mirror_fill(spec.side_points, quarter, quarter, quarter, quarter), weight
 
 
 def render_total(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_grid import BeamSpec, GridSpec, ModeIndex, iter_lg_rasters
+from .field_grid import BeamSpec, GridSpec, ModeIndex, _lg_blocks
 
 __all__ = [
     "CsdTensor",
@@ -248,7 +248,9 @@ def csd_mode_decompose(
           v      odd        -(-1)^l
 
     - quarter window: every part is known from its ceil(N/2)^2 quarter
-      (rows and columns 0 ... ceil(N/2) - 1). K factorizes over x and y into
+      (rows and columns 0 ... ceil(N/2) - 1), which is where the raster
+      engine field_grid._lg_blocks works, so the rest of the window is
+      never rastered. K factorizes over x and y into
       one real Toeplitz kernel; folded onto the quarter for a part of parity
       s on an axis, it is K_s[q, k] = K[q, k] + s K[q, mirror(k)], so the
       blur of a quarter X is K_sy @ X @ K_sx^T, two real products per part
@@ -317,13 +319,13 @@ def csd_mode_decompose(
     rasters = np.empty((2, l_max + 1, np_, h, h))
     partials = np.empty_like(rasters)
     beam = BeamSpec(geometry.matched_waist, wavelength)
-    modes = [ModeIndex(l, p) for l in range(l_max + 1) for p in range(np_)]
     projection_weight = envelope * weight * spec.pixel_area
-    for mode, raster in iter_lg_rasters(beam, spec, 0.0, modes):
-        l, p = mode.l, mode.p
-        rasters[:, l, p] = raster.real[:h, :h], raster.imag[:h, :h]
-        if p < p_max:
-            continue
+    # At z = 0 the Gouy phase is 1 and there is no chirp: LG(l, p) on the
+    # quarter is radial[p][inverse] * harmonic.
+    for l, (radial, harmonic, _, _, inverse) in enumerate(_lg_blocks(beam, spec, 0.0, l_max, p_max)):
+        shells = radial[:, inverse]
+        np.multiply(shells, harmonic.real, out=rasters[0, l])
+        np.multiply(shells, harmonic.imag, out=rasters[1, l])
         integrand = rasters[:, l] * envelope
         if kernel is None:
             partials[:, l] = 0.0

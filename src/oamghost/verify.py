@@ -395,7 +395,7 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
                                f"Pearson(|pure|^2, |object proj|^2) = {corr:.4f} (floor 0.9)"))
 
     elapsed = time.perf_counter() - t0
-    results.append(CheckResult("runtime", elapsed < 15.0, f"{elapsed:.2f} s (budget 15 s)"))
+    results.append(CheckResult("runtime", elapsed < 5.0, f"{elapsed:.2f} s (budget 5 s)"))
     return results
 
 

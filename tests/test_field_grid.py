@@ -272,12 +272,24 @@ def test_iter_conjugation_identity_off_focus(side, extent, l, p, z, sign):
 def test_shell_radii_match_polar(side):
     spec = GridSpec(side, 8.0 * WAIST)
     r2, inverse, eiphi = _shells(spec)
+    h = (side + 1) // 2
+    assert inverse.shape == eiphi.shape == (h, h)
     r, phi = spec.polar()
     assert np.all(np.diff(r2) > 0)
+    # Row or column k of the window is the mirror image of quarter row or column
+    # min(k, N - 1 - k); the images lie at k >= h.
+    k = np.arange(side)
+    rows, cols = np.ix_(np.minimum(k, side - 1 - k), np.minimum(k, side - 1 - k))
+    flip_y, flip_x = (k >= h)[:, None], (k >= h)[None, :]
     # polar() forms each coordinate as (i + 1/2) pitch - extent / 2, whose rounding
     # error is absolute, so near the centre the tolerance scales with the window.
-    np.testing.assert_allclose(r2[inverse], (r * r).ravel(), rtol=1e-14, atol=1e-14 * r2[-1])
-    np.testing.assert_array_equal(eiphi, np.exp(1j * phi.ravel()))
+    np.testing.assert_allclose(r2[inverse[rows, cols]], r * r, rtol=1e-14, atol=1e-14 * r2[-1])
+    np.testing.assert_array_equal(eiphi, np.exp(1j * phi[:h, :h]))
+    # x -> -x sends exp(i phi) to -conj(exp(i phi)), y -> -y to conj(exp(i phi)).
+    # polar()'s coordinates are mirror images only to that same rounding.
+    mirrored = eiphi[rows, cols]
+    mirrored = np.where(flip_x ^ flip_y, np.conj(mirrored), mirrored) * np.where(flip_x, -1.0, 1.0)
+    np.testing.assert_allclose(mirrored, np.exp(1j * phi), rtol=0.0, atol=1e-14)
 
 
 def test_shells_read_only_and_cached():
@@ -285,17 +297,20 @@ def test_shells_read_only_and_cached():
     assert spec.side_points == 64 and isinstance(spec.side_points, int)
     arrays = _shells(spec)
     assert all(not a.flags.writeable for a in arrays)
+    assert arrays[1].shape == arrays[2].shape == (32, 32)
     assert _shells(GridSpec(64, 1e-2))[1] is arrays[1]
     with pytest.raises(ValueError):
-        arrays[1][0] = 1
+        arrays[1][0, 0] = 1
     ((_, raster),) = iter_lg_rasters(BEAM, spec, 0.0, [ModeIndex(2, 1)])
     assert raster.shape == (64, 64)
 
 
 def test_shell_count_at_512():
+    # The 256^2 quarter of the window holds every one of its radius shells.
     r2, inverse, _ = _shells(GridSpec(512, 1e-2))
     assert r2.size == 20604
-    assert inverse.size == 512 ** 2 and inverse.max() == r2.size - 1
+    assert inverse.shape == (256, 256)
+    assert np.array_equal(np.unique(inverse), np.arange(r2.size))
 
 
 def test_default_grid_is_at_least_eight_waists():

@@ -245,15 +245,18 @@ def test_render_total_coherent_limit():
                                2.0 * abs(a00) ** 2 * np.abs(mode) ** 2, rtol=1e-10)
 
 
-@pytest.mark.parametrize("z", [0.0, Z2])
-def test_engine_matches_pointwise_oracle(z):
+@pytest.mark.parametrize("z,side", [(0.0, 80), (Z2, 80), (0.0, 81), (Z2, 81)],
+                         ids=["0.0", "0.5", "0.0-81", "0.5-81"])
+def test_engine_matches_pointwise_oracle(z, side):
     # Per-mode references from lg_amplitude at every pixel; the separable
-    # engine must agree to roundoff in all four consumers.
+    # engine must agree to roundoff in all four consumers. The engine works on
+    # one quarter of the window and mirrors it; the odd side has a centre row
+    # and column, which are their own mirror images.
     lm = pm = 6
-    spec = default_grid(BEAM, l_max=lm, p_max=pm, side_points=80, z=z)
+    spec = default_grid(BEAM, l_max=lm, p_max=pm, side_points=side, z=z)
     rng = np.random.default_rng(11)
     shape = (2 * lm + 1, pm + 1)
-    obj = ComplexField(spec, rng.normal(size=(80, 80)) + 1j * rng.normal(size=(80, 80)))
+    obj = ComplexField(spec, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
     coeffs = ModeCoefficients(lm, pm, rng.normal(size=shape) + 1j * rng.normal(size=shape), z, BEAM)
     spectrum = build_spectrum(GEO, lm, pm)
     modes = [ModeIndex(l, p) for l in range(-lm, lm + 1) for p in range(pm + 1)]
