@@ -28,8 +28,8 @@ have a fixed sign under each mirror:
     sin(l phi)   -(-1)^l      -1
 
 A sum over the window folds onto the quarter (_fold), and a raster built on
-the quarter unfolds onto the window (_mirror_fill). For odd N the centre
-row and column are their own mirror images and are counted once.
+the quarter unfolds onto the window (_unfold, _mirror_fill). For odd N the
+centre row and column are their own mirror images and are counted once.
 Decomposition and synthesis in spiral_imaging run on the quarter engine
 directly; iter_lg_rasters is its per-mode view.
 """
