@@ -282,11 +282,24 @@ def _unfold(n: int, parts: np.ndarray) -> np.ndarray:
     """(n, n) raster from (2, 2, h, h) quarter parts indexed [sx, sy], the adjoint of _fold.
 
     Each part holds terms of mirror signs sx and sy; the quarter gets their
-    sum and each mirror image of a quarter pixel their signed sum.
+    sum and each mirror image of a quarter pixel their signed sum. The sums
+    are taken in place, in parts and in the raster's own quarter, so parts
+    is overwritten and the raster is the only array allocated.
     """
-    even, odd = parts[:, 0] + parts[:, 1]  # even and odd under x -> -x
-    even_y, odd_y = parts[:, 0] - parts[:, 1]  # the same at the y-images
-    return _mirror_fill(n, even + odd, even - odd, even_y + odd_y, even_y - odd_y)
+    h = parts.shape[-1]
+    m = n - h
+    flip = slice(None, h - 1, -1)  # N - 1 ... h, the images of 0 ... m - 1
+    out = np.empty((n, n), dtype=parts.dtype)
+    (pp, pm), (mp, mm) = parts  # views of the parts of signs [sx, sy] = ++, +-, -+, --
+    even = np.add(pp, pm, out=out[:h, :h])  # even under x -> -x
+    even_y = np.subtract(pp, pm, out=pp)  # the same at the y-images
+    odd = np.add(mp, mm, out=pm)  # odd under x -> -x
+    odd_y = np.subtract(mp, mm, out=mp)  # the same at the y-images
+    np.subtract(even[:, :m], odd[:, :m], out=out[:h, flip])
+    even += odd
+    np.add(even_y[:m], odd_y[:m], out=out[flip, :h])
+    np.subtract(even_y[:m, :m], odd_y[:m, :m], out=out[flip, flip])
+    return out
 
 
 def _mirror_fill(n: int, q, x, y, xy) -> np.ndarray:

@@ -232,6 +232,7 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
     # Quarter accumulators indexed [sx, sy] by the terms' mirror signs (see _fold).
     h = (spec.side_points + 1) // 2
     acc = np.zeros((2, 2, h, h), dtype=complex)
+    term = np.empty((h, h), dtype=complex)  # one gathered term, reused for every |l|
     blocks = _lg_blocks(coeffs.beam, spec, float(z2), l_max, coeffs.p_max)
     for l, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
         weights = np.stack([coeffs.values[l_max + l], coeffs.values[l_max - l]]) * gouy
@@ -241,10 +242,14 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
         cos_slot, sin_slot = _mirror_slots(l)
         if l:
             # exp(i|l|phi) A + exp(-i|l|phi) B = cos (A + B) + sin i (A - B), with real factors.
-            acc[cos_slot] += harmonic.real * (shells[0] + shells[1])[inverse]
-            acc[sin_slot] += harmonic.imag * (1j * (shells[0] - shells[1]))[inverse]
+            np.take(shells[0] + shells[1], inverse, out=term, mode="clip")
+            term *= harmonic.real
+            acc[cos_slot] += term
+            np.take(1j * (shells[0] - shells[1]), inverse, out=term, mode="clip")
+            term *= harmonic.imag
+            acc[sin_slot] += term
         else:
-            acc[cos_slot] += shells[0][inverse]
+            acc[cos_slot] += np.take(shells[0], inverse, out=term, mode="clip")
     return ComplexField(spec, _unfold(spec.side_points, acc))
 
 
