@@ -6,7 +6,22 @@ ghost-image synthesis, plus a CLI that emits CSV/PGM/OAMF artifacts.
 
 The public surface is every name in the four library modules' __all__ lists,
 plus the verification entry points and the version.
+
+When this package is the first to import numpy (the `oamghost` console script,
+`python -m oamghost.cli`), OpenBLAS is loaded with one thread. Its idle worker
+spins for about 0.1 s of CPU per process, and only the mode-math Gram matrix
+and the CSD blur on 256^2 windows are products large enough to gain wall time
+from it. OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS set by the
+user win, and a host that imported numpy first is left as it is.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and not any(
+    name in _os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import field_grid, quantum_correlations, spiral_imaging, thermal_source
 from .field_grid import *

@@ -53,6 +53,18 @@ def _check_dense(d: int) -> None:
         )
 
 
+def _pair_block(values: np.ndarray, support: np.ndarray, d: int) -> np.ndarray:
+    """Dense d^2 x d^2 array, zero but for np.outer(values, values) at (support, support).
+
+    Equal entry for entry to np.outer(v, v) for the d^2 vector v that holds values
+    at support, without forming that outer product.
+    """
+    _check_dense(d)
+    dense = np.zeros((d * d, d * d))
+    dense[np.ix_(support, support)] = np.outer(values, values)
+    return dense
+
+
 @dataclass(frozen=True)
 class ThermalState:
     """Truncated two-photon thermal state rho = rho_C + rho_Q, stored by structure.
@@ -85,9 +97,7 @@ class ThermalState:
 
     @property
     def rho_Q(self) -> np.ndarray:
-        _check_dense(self.d)
-        v = self.pair_vector
-        return np.outer(v, v)
+        return _pair_block(self.pvec, np.arange(self.d) * self.d + self.partner, self.d)
 
     @property
     def rho(self) -> np.ndarray:
@@ -146,10 +156,11 @@ class SeparabilityCertificate:
 
     @property
     def rho_S_plus(self) -> np.ndarray:
-        _check_dense(math.isqrt(self.pair_vector.size))
-        plus = np.outer(self.pair_vector, self.pair_vector)
-        plus[np.diag_indices_from(plus)] += self.R * self.minus_diagonal
-        plus /= 1.0 + self.R
+        v = self.pair_vector
+        support = np.flatnonzero(v)
+        plus = _pair_block(v[support], support, math.isqrt(v.size))
+        plus[np.ix_(support, support)] /= 1.0 + self.R
+        plus[np.diag_indices_from(plus)] = (v * v + self.R * self.minus_diagonal) / (1.0 + self.R)
         return plus
 
 

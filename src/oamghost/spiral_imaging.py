@@ -20,10 +20,11 @@ one mirror step at the end; render_background's raster is even under both
 mirrors. Per-pixel products use the harmonic's real and imaginary parts,
 which keeps the temporaries real and few. The radial contractions over
 shells are np.einsum calls, which run in numpy's own single-threaded loops.
-These few-row products gain nothing from threaded BLAS, whose idle worker
-spins on the other core: with `@`, on a 2-core machine, a job took twice
-its wall time in CPU, and its wall time rose and fell with whatever else
-ran on that core.
+These few-row products gain nothing from threaded BLAS. A CLI process loads
+OpenBLAS with one thread (see the package docstring), but a caller that
+imported numpy first keeps its thread pool, whose idle worker spins on
+another core: with `@`, on a 2-core machine, a job took twice its wall time
+in CPU, and its wall time rose and fell with whatever else ran on that core.
 """
 
 from __future__ import annotations

@@ -337,7 +337,8 @@ def csd_mode_decompose(
             np.matmul(k_minus, integrand[1] @ kx_v.T, out=partials[1, l])
         partials[:, l] *= projection_weight
 
-    # np.einsum, not a BLAS @: a threaded product here waits on OpenBLAS's
+    # np.einsum, not a BLAS @: when the caller imported numpy before oamghost,
+    # OpenBLAS keeps its thread pool, and a threaded product here waits on its
     # worker thread, which after an idle pause made each call 4x slower.
     a, b = np.zeros((2, l_max + 1, l_max + 1, np_, np_))
     for parity in (0, 1):

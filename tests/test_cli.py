@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -91,6 +92,59 @@ def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oamghost.__file__)))
     code = "import sys, oamghost.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+PRINT_THREAD_VARS = f"import json, os; print(json.dumps({{k: os.environ.get(k) for k in {THREAD_VARS!r}}}))"
+
+
+def _fresh_python(code, **preset):
+    """stdout of `python -c code` with none of the thread variables set but `preset`."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(preset, PYTHONPATH=os.path.dirname(os.path.dirname(oamghost.__file__)))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_import_pins_openblas_to_one_thread():
+    out = _fresh_python("import oamghost; " + PRINT_THREAD_VARS)
+    assert json.loads(out) == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+
+
+def test_pinned_openblas_reports_one_live_thread():
+    # the live count, read the way ghostbench/run.py:blas_info reads it
+    code = """
+import ctypes, oamghost
+try:
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.split()[-1].lower()})
+except OSError:
+    paths = []
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            get = getattr(lib, symbol)
+            get.argtypes, get.restype = [], ctypes.c_int
+            print(get())
+            raise SystemExit
+print("none")
+"""
+    out = _fresh_python(code).strip()
+    if out == "none":
+        pytest.skip("no OpenBLAS thread-count symbol in this numpy build")
+    assert out == "1"
+
+
+@pytest.mark.parametrize("name", THREAD_VARS)
+def test_user_thread_setting_wins(name):
+    out = _fresh_python("import oamghost; " + PRINT_THREAD_VARS, **{name: "2"})
+    assert json.loads(out) == {k: "2" if k == name else None for k in THREAD_VARS}
+
+
+def test_numpy_imported_first_keeps_its_threads():
+    out = _fresh_python("import numpy, oamghost; " + PRINT_THREAD_VARS)
+    assert json.loads(out) == dict.fromkeys(THREAD_VARS)
 
 
 def test_usage_exit_codes(tmp_path, capsys):

@@ -74,9 +74,9 @@ def test_assemble_dimension_cap():
         state.rho  # the dense view is capped at max_dim = 36
 
 
-@pytest.mark.parametrize("l_max,p_max", [(0, 0), (1, 0), (1, 1), (1, 11)])
+@pytest.mark.parametrize("l_max,p_max", [(0, 0), (1, 0), (1, 1), (5, 2), (1, 11)])
 def test_dense_views_match_dense_construction(l_max, p_max):
-    # d = 1, 3, 6, 36; references built the dense way, entry by entry
+    # d = 1, 3, 6, 33, 36; references built the dense way, entry by entry
     geo = source_geometry(SIGMA_S, 1.3e-3)
     state = assemble_density(build_spectrum(geo, l_max, p_max))
     d = state.d
