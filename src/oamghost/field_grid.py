@@ -107,7 +107,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Immutable complex raster tied to the window it was sampled on."""
+    """Immutable complex raster tied to the window it was sampled on.
+
+    The samples are copied into a read-only array, unless they already are a
+    read-only complex array that owns its data, which is taken as it is.
+    """
 
     spec: GridSpec
     samples: np.ndarray
@@ -117,10 +121,11 @@ class ComplexField:
         arr = np.asarray(self.samples, dtype=np.complex128)
         if arr.shape != (n, n):
             raise ValueError(f"samples shape {arr.shape} does not match grid ({n}, {n})")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("field samples must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
+            arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
     def norm(self) -> float:
@@ -176,6 +181,23 @@ def _log_norm(l_abs: int, p: int) -> float:
 def _mode_radius(beam: BeamSpec, z: float, l_abs: int, p: int) -> float:
     """Classical radius w(z) sqrt(2p + |l| + 1) of LG(l, p) in plane z."""
     return beam.width(z) * math.sqrt(2.0 * p + l_abs + 1.0)
+
+
+def _warn_if_clipped(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int) -> None:
+    """Emit a ModeClippedWarning when LG(l_max, p_max) spills past the window.
+
+    The largest mode of the lattice is measured by the _mode_radius rule.
+    Each engine pass calls this itself, whether or not it runs the engine,
+    so the warning points at the line that called the pass.
+    """
+    radius = _mode_radius(beam, z, l_max, p_max)
+    if radius > 0.5 * spec.extent:
+        warnings.warn(
+            f"modes up to LG(l={l_max}, p={p_max}) at z={z:g} m reach radius {radius:.3g} m, "
+            f"clipped by window half-extent {0.5 * spec.extent:.3g} m",
+            ModeClippedWarning,
+            stacklevel=3,
+        )
 
 
 def lg_amplitude(mode: ModeIndex, beam: BeamSpec, radius, azimuth, z: float = 0.0):
@@ -342,19 +364,9 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
 
     Work on the shells, then gather through inverse once per quarter pixel.
     The radial and harmonic buffers are overwritten by the next block; copy
-    what must outlive it. Emits one ModeClippedWarning when the largest mode
-    of the lattice, LG(l_max, p_max), spills past the window by the
-    _mode_radius rule.
+    what must outlive it. The engine does not warn about clipped modes; its
+    callers do (_warn_if_clipped).
     """
-    radius = _mode_radius(beam, z, l_max, p_max)
-    if radius > 0.5 * spec.extent:
-        warnings.warn(
-            f"modes up to LG(l={l_max}, p={p_max}) at z={z:g} m reach radius {radius:.3g} m, "
-            f"clipped by window half-extent {0.5 * spec.extent:.3g} m",
-            ModeClippedWarning,
-            stacklevel=3,
-        )
-
     r2, inverse, eiphi = _shells(spec)
     w = beam.width(z)
     zr = beam.rayleigh_range
@@ -370,6 +382,7 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
     orders = 2 * np.arange(p_max + 1) + 1
 
     radial = np.empty((p_max + 1, x.size))
+    scaled = np.empty_like(x)  # sqrt(p (p + a)) radial[p - 1], reused at every step
     u0 = math.sqrt(2.0 / math.pi) / w * np.exp(-0.5 * x)
     harmonic = np.ones_like(eiphi)
     for a in range(l_max + 1):
@@ -379,11 +392,11 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
             harmonic *= eiphi
         radial[0] = u0
         for p in range(p_max):
-            nxt = (2 * p + 1 + a - x) * radial[p]
+            nxt = np.subtract(2 * p + 1 + a, x, out=radial[p + 1])
+            nxt *= radial[p]
             if p:
-                nxt -= math.sqrt(p * (p + a)) * radial[p - 1]
+                nxt -= np.multiply(math.sqrt(p * (p + a)), radial[p - 1], out=scaled)
             nxt /= math.sqrt((p + 1) * (p + 1 + a))
-            radial[p + 1] = nxt
         yield radial, harmonic, np.exp(-1j * (orders + a) * psi), chirp, inverse
 
 
@@ -404,6 +417,7 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
         return
     l_max = max(abs(m.l) for m in modes)
     p_max = max(m.p for m in modes)
+    _warn_if_clipped(beam, spec, z, l_max, p_max)
     blocks = _lg_blocks(beam, spec, z, l_max, p_max)
     for l_abs, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
         for mode in modes:

@@ -18,17 +18,30 @@ with the matching one; render_pure_image adds each term into the quarter
 accumulator of its sign pair and writes the four blocks of the window in
 one mirror step at the end; render_background's raster is even under both
 mirrors. Per-pixel products use the harmonic's real and imaginary parts,
-which keeps the temporaries real and few. The radial contractions over
-shells are np.einsum calls, which run in numpy's own single-threaded loops.
-These few-row products gain nothing from threaded BLAS. A CLI process loads
-OpenBLAS with one thread (see the package docstring), but a caller that
-imported numpy first keeps its thread pool, whose idle worker spins on
-another core: with `@`, on a 2-core machine, a job took twice its wall time
-in CPU, and its wall time rose and fell with whatever else ran on that core.
+which keeps the temporaries real and few.
+
+The radial contraction of each |l| block is one real matrix product: the
+real and imaginary parts of the +|l| and -|l| shell sums (object_spectrum)
+or mode weights (render_pure_image) are stacked into four rows and
+multiplied with the (p_max + 1, S) radial stack. At 256^2 that took 12 us
+against 108 us for the two np.einsum calls it replaces. The products are
+kept on one thread: a CLI process loads OpenBLAS with one thread (see the
+package docstring), but a caller that imported numpy first keeps its pool,
+and a threaded product leaves the idle worker spinning on another core (on
+a 2-core machine a 512^2 render_pure_image took twice its wall time in
+CPU). object_spectrum's (4, p_max + 1) result gives OpenBLAS nothing to
+split, and render_pure_image runs its (4, S) product in column blocks below
+OpenBLAS's threading size (_serial_matmul), a single block up to 256^2.
+
+Only render_background's weight sum P |A|^2 depends on the object. Its
+profile sum P |LG|^2 over the radius shells depends on the spectrum, beam,
+grid and plane alone and is cached (_background_profile), so a sweep that
+renders many objects at a few planes runs its engine pass once per plane.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +55,9 @@ from .field_grid import (
     _lg_blocks,
     _mirror_fill,
     _mirror_slots,
+    _shells,
     _unfold,
+    _warn_if_clipped,
 )
 from .thermal_source import SpiralSpectrum, SourceGeometry, build_spectrum
 
@@ -84,7 +99,7 @@ class ModeCoefficients:
         shape = (2 * self.l_max + 1, self.p_max + 1)
         if arr.shape != shape:
             raise ValueError(f"coefficient table shape {arr.shape}, expected {shape}")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -181,17 +196,32 @@ def _check_truncation(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> Non
         )
 
 
+# OpenBLAS splits a matrix product over its threads once m n k exceeds this
+# (SMP_THRESHOLD_MIN 65536 times GEMM_MULTITHREAD_THRESHOLD 4).
+_SERIAL_GEMM_SIZE = 4 * 65536
+
+
+def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a few-row a, in column blocks of b that OpenBLAS runs on one thread each."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    step = max(_SERIAL_GEMM_SIZE // a.size, 1)
+    for lo in range(0, b.shape[1], step):
+        np.matmul(a, b[:, lo : lo + step], out=out[:, lo : lo + step])
+    return out
+
+
 def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_max: int) -> ModeCoefficients:
     """Overlap coefficients of the object against LG modes at plane -z1.
 
     The object is folded once into the four signed mirror sums of its
     quarter. Per |l|, the cos(|l| phi) and sin(|l| phi) terms are folded
-    into radius shells against the mirror sum of their signs, and one
-    contraction over the shells gives the +|l| and -|l| rows.
+    into radius shells against the mirror sum of their signs, and one real
+    product over the shells gives the +|l| and -|l| rows.
     """
     if l_max < 0 or p_max < 0:
         raise ValueError("l_max and p_max must be nonnegative")
     plane = -float(z1)
+    _warn_if_clipped(beam, obj.spec, plane, l_max, p_max)
     values = np.zeros((2 * l_max + 1, p_max + 1), dtype=complex)
     folded = _fold(obj.samples * obj.spec.pixel_area)
     re, im = folded.real.copy(), folded.imag.copy()
@@ -209,9 +239,10 @@ def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_
         shells = np.stack([(a + b) + 1j * (c - d), (a - b) + 1j * (c + d)])
         if chirp is not None:
             shells *= np.conj(chirp)
-        parts = np.einsum("pn,kn->kp", radial, shells.real) + 1j * np.einsum("pn,kn->kp", radial, shells.imag)
-        values[l_max + l] = np.conj(gouy) * parts[0]
-        values[l_max - l] = np.conj(gouy) * parts[1]
+        # Rows: re +|l|, re -|l|, im +|l|, im -|l|.
+        parts = np.concatenate([shells.real, shells.imag]) @ radial.T
+        values[l_max + l] = np.conj(gouy) * (parts[0] + 1j * parts[2])
+        values[l_max - l] = np.conj(gouy) * (parts[1] + 1j * parts[3])
     return ModeCoefficients(l_max, p_max, values, plane, beam)
 
 
@@ -230,6 +261,7 @@ def image_spectrum(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> ModeCo
 def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> ComplexField:
     """Coherent sum of coefficient-weighted LG modes at plane +z2."""
     l_max = coeffs.l_max
+    _warn_if_clipped(coeffs.beam, spec, float(z2), l_max, coeffs.p_max)
     # Quarter accumulators indexed [sx, sy] by the terms' mirror signs (see _fold).
     h = (spec.side_points + 1) // 2
     acc = np.zeros((2, 2, h, h), dtype=complex)
@@ -237,7 +269,10 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
     blocks = _lg_blocks(coeffs.beam, spec, float(z2), l_max, coeffs.p_max)
     for l, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
         weights = np.stack([coeffs.values[l_max + l], coeffs.values[l_max - l]]) * gouy
-        shells = np.einsum("kp,pn->kn", weights.real, radial) + 1j * np.einsum("kp,pn->kn", weights.imag, radial)
+        # Rows: re +|l|, re -|l|, im +|l|, im -|l|.
+        parts = _serial_matmul(np.concatenate([weights.real, weights.imag]), radial)
+        shells = np.empty((2, parts.shape[1]), dtype=complex)
+        shells.real, shells.imag = parts[:2], parts[2:]
         if chirp is not None:
             shells *= chirp
         cos_slot, sin_slot = _mirror_slots(l)
@@ -251,7 +286,27 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
             acc[sin_slot] += term
         else:
             acc[cos_slot] += np.take(shells[0], inverse, out=term, mode="clip")
-    return ComplexField(spec, _unfold(spec.side_points, acc))
+    samples = _unfold(spec.side_points, acc)
+    samples.flags.writeable = False  # a fresh raster: ComplexField takes it without a copy
+    return ComplexField(spec, samples)
+
+
+@functools.lru_cache(maxsize=8)
+def _background_profile(amplitudes: bytes, l_max: int, p_max: int, beam: BeamSpec, spec: GridSpec,
+                        z2: float) -> np.ndarray:
+    """Read-only (S,) profile sum_{l, p} P_{l, p} |LG_{l, p}|^2 over the radius shells at plane z2.
+
+    It depends on the spectrum (its float64 amplitude table as bytes, so the
+    key compares by value), the beam, the grid and the plane, never on the
+    object, so a sweep that renders many objects builds it once per plane.
+    """
+    table = np.frombuffer(amplitudes).reshape(2 * l_max + 1, p_max + 1)
+    profile = 0.0
+    for l, (radial, *_) in enumerate(_lg_blocks(beam, spec, z2, l_max, p_max)):
+        amps = table[l_max + l] + (table[l_max - l] if l else 0.0)
+        profile = profile + np.einsum("p,pn->n", amps, radial * radial)
+    profile.flags.writeable = False
+    return profile
 
 
 def render_background(
@@ -265,17 +320,16 @@ def render_background(
     weight = sum P |A|^2 over the truncation; the raster is
     weight * sum_{l', p'} P_{l', p'} |LG_{l', p'}(rho, z2)|^2, azimuthally
     symmetric because every |LG|^2 is purely radial: one profile over the
-    radius shells, gathered once onto the quarter and mirrored.
+    radius shells, gathered once onto the quarter and mirrored. Only the
+    weight depends on the object; the profile is cached (_background_profile)
+    and each call scales and gathers it into a fresh raster.
     """
     _check_truncation(coeffs, spectrum)
-    l_max = spectrum.l_max
+    _warn_if_clipped(coeffs.beam, spec, float(z2), spectrum.l_max, spectrum.p_max)
     weight = float(np.sum(spectrum.amplitudes * np.abs(coeffs.values) ** 2))
-    mix = 0.0
-    blocks = _lg_blocks(coeffs.beam, spec, float(z2), l_max, spectrum.p_max)
-    for l, (radial, _, _, _, inverse) in enumerate(blocks):
-        amps = spectrum.amplitudes[l_max + l] + (spectrum.amplitudes[l_max - l] if l else 0.0)
-        mix = mix + np.einsum("p,pn,pn->n", amps, radial, radial)
-    quarter = (weight * mix)[inverse]
+    profile = _background_profile(spectrum.amplitudes.tobytes(), spectrum.l_max, spectrum.p_max,
+                                  coeffs.beam, spec, float(z2))
+    quarter = (weight * profile)[_shells(spec)[1]]
     return _mirror_fill(spec.side_points, quarter, quarter, quarter, quarter), weight
 
 

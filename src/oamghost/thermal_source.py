@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_grid import BeamSpec, GridSpec, ModeIndex, _lg_blocks
+from .field_grid import BeamSpec, GridSpec, ModeIndex, _lg_blocks, _warn_if_clipped
 
 __all__ = [
     "CsdTensor",
@@ -320,6 +320,7 @@ def csd_mode_decompose(
     partials = np.empty_like(rasters)
     beam = BeamSpec(geometry.matched_waist, wavelength)
     projection_weight = envelope * weight * spec.pixel_area
+    _warn_if_clipped(beam, spec, 0.0, l_max, p_max)
     # At z = 0 the Gouy phase is 1 and there is no chirp: LG(l, p) on the
     # quarter is radial[p][inverse] * harmonic.
     for l, (radial, harmonic, _, _, inverse) in enumerate(_lg_blocks(beam, spec, 0.0, l_max, p_max)):

@@ -71,6 +71,28 @@ def test_complex_field_immutable_and_norm():
         ComplexField(spec, np.full((8, 8), np.nan))
 
 
+def test_complex_field_copies_unless_handed_a_read_only_owner():
+    spec = GridSpec(4, 1.0)
+    for bad in (complex(np.inf, 0.0), complex(0.0, np.nan)):
+        samples = np.zeros((4, 4), dtype=complex)
+        samples[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ComplexField(spec, samples)
+    writable = np.ones((4, 4), dtype=complex)
+    f = ComplexField(spec, writable)
+    writable[0, 0] = 5.0
+    assert f.samples[0, 0] == 1.0 and not f.samples.flags.writeable
+    base = np.ones((4, 4), dtype=complex)
+    view = base[:]
+    view.flags.writeable = False
+    f = ComplexField(spec, view)  # read-only, but its base stays writable
+    base[0, 0] = 5.0
+    assert f.samples[0, 0] == 1.0
+    owned = np.ones((4, 4), dtype=complex)
+    owned.flags.writeable = False
+    assert ComplexField(spec, owned).samples is owned
+
+
 def test_mode_index_validation():
     ModeIndex(-3, 0)
     with pytest.raises(ValueError):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oamghost import spiral_imaging
 from oamghost.field_grid import (
     BeamSpec,
     ComplexField,
     GridSpec,
+    ModeClippedWarning,
     ModeIndex,
     default_grid,
     iter_lg_rasters,
@@ -190,6 +192,71 @@ def test_render_background_weight_and_symmetry():
     assert weight == pytest.approx(expect_weight, rel=1e-12)
     assert np.all(raster >= 0)
     np.testing.assert_allclose(np.rot90(raster), raster, atol=1e-15 * raster.max())
+
+
+def _background_case(l_max=3, p_max=3):
+    rng = np.random.default_rng(6)
+    shape = (2 * l_max + 1, p_max + 1)
+    coeffs = ModeCoefficients(l_max, p_max, rng.normal(size=shape) + 1j * rng.normal(size=shape), -Z1, BEAM)
+    return coeffs, build_spectrum(GEO, l_max, p_max), small_grid(96)
+
+
+def test_render_background_cached_profile_is_bitwise_the_computed_one():
+    coeffs, spectrum, spec = _background_case()
+    spiral_imaging._background_profile.cache_clear()
+    computed, weight = render_background(coeffs, spectrum, spec, Z2)
+    assert spiral_imaging._background_profile.cache_info().misses == 1
+    cached, cached_weight = render_background(coeffs, spectrum, spec, Z2)
+    assert spiral_imaging._background_profile.cache_info().hits == 1
+    np.testing.assert_array_equal(cached, computed)
+    assert cached_weight == weight
+
+
+def test_render_background_cache_keys_the_spectrum_by_value():
+    coeffs, thermal, spec = _background_case()
+    flat = flat_spectrum(3, 3)
+    thermal_raster, thermal_weight = render_background(coeffs, thermal, spec, Z2)
+    flat_raster, flat_weight = render_background(coeffs, flat, spec, Z2)
+    # Same shape, grid and plane: only the amplitude values tell the profiles apart.
+    assert not np.allclose(thermal_raster / thermal_weight, flat_raster / flat_weight)
+    spiral_imaging._background_profile.cache_clear()
+    np.testing.assert_array_equal(render_background(coeffs, flat, spec, Z2)[0], flat_raster)
+    np.testing.assert_array_equal(render_background(coeffs, thermal, spec, Z2)[0], thermal_raster)
+
+
+def test_render_background_returns_a_raster_of_its_own():
+    coeffs, spectrum, spec = _background_case()
+    first, _ = render_background(coeffs, spectrum, spec, Z2)
+    expect = first.copy()
+    first *= -1.0
+    np.testing.assert_array_equal(render_background(coeffs, spectrum, spec, Z2)[0], expect)
+
+
+def test_render_background_cache_stays_bounded():
+    coeffs, spectrum, spec = _background_case(1, 1)
+    limit = spiral_imaging._background_profile.cache_info().maxsize
+    for k in range(limit + 4):
+        render_background(coeffs, spectrum, spec, 0.1 + 0.05 * k)
+        assert spiral_imaging._background_profile.cache_info().currsize <= limit
+
+
+def test_render_background_warns_on_every_call():
+    # The second call is a cache hit that never runs the engine; it must warn all the same.
+    coeffs, spectrum, _ = _background_case()
+    spec = GridSpec(32, 2.0 * BEAM.waist)
+    for _ in range(2):
+        with pytest.warns(ModeClippedWarning) as record:
+            render_background(coeffs, spectrum, spec, Z2)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+
+def test_render_pure_image_samples_are_read_only():
+    coeffs, _, spec = _background_case()
+    field = render_pure_image(coeffs, spec, Z2)
+    assert not field.samples.flags.writeable
+    with pytest.raises(ValueError):
+        field.samples[0, 0] = 0.0
 
 
 def test_render_total_two_term_identity():
