@@ -107,11 +107,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Immutable complex raster tied to the window it was sampled on.
-
-    The samples are copied into a read-only array, unless they already are a
-    read-only complex array that owns its data, which is taken as it is.
-    """
+    """Immutable complex raster tied to the window it was sampled on."""
 
     spec: GridSpec
     samples: np.ndarray
@@ -123,9 +119,8 @@ class ComplexField:
             raise ValueError(f"samples shape {arr.shape} does not match grid ({n}, {n})")
         if not np.isfinite(arr).all():
             raise ValueError("field samples must be finite")
-        if arr.flags.writeable or not arr.flags.owndata:
-            arr = arr.copy()
-            arr.flags.writeable = False
+        arr = arr.copy()
+        arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
     def norm(self) -> float:

@@ -23,16 +23,20 @@ which keeps the temporaries real and few.
 The radial contraction of each |l| block is one real matrix product: the
 real and imaginary parts of the +|l| and -|l| shell sums (object_spectrum)
 or mode weights (render_pure_image) are stacked into four rows and
-multiplied with the (p_max + 1, S) radial stack. On a 2-vCPU x86-64 host,
-at 256^2 with p_max = 9, the product took 13 us against 106 us for the two
-np.einsum calls it replaces. The products are
-kept on one thread: a CLI process loads OpenBLAS with one thread (see the
-package docstring), but a caller that imported numpy first keeps its pool,
-and a threaded product leaves the idle worker spinning on another core (on
-a 2-core machine a 512^2 render_pure_image took twice its wall time in
-CPU). object_spectrum's (4, p_max + 1) result gives OpenBLAS nothing to
-split, and render_pure_image runs its (4, S) product in column blocks below
-OpenBLAS's threading size (_serial_matmul), a single block up to 256^2.
+multiplied with the (p_max + 1, S) radial stack over the S radius shells.
+On a 2-vCPU x86-64 host, at 256^2 with p_max = 9, the product took 13 us
+against 106 us for the two np.einsum calls it replaces.
+
+A CLI process loads OpenBLAS with one thread (see the package docstring);
+a caller that imported numpy first keeps its pool. OpenBLAS, as numpy ships
+it, splits a product over its threads only once m n k exceeds 262144, here
+4 (p_max + 1) S. That holds the products serial up to p_max = 10 at 256^2
+(S = 5473; the plane-sweep benchmark runs p_max = 9), p_max = 43 at 128^2
+and p_max = 2 at 512^2 (S = 20604). Past it, on a 2-vCPU host with a
+2-thread pool at 512^2 and p_max = 20, object_spectrum still ran on one
+core, but render_pure_image's product was split and its idle worker spun:
+the pass took up to twice its wall time in CPU. Such a caller can set
+OPENBLAS_NUM_THREADS=1 before it imports numpy.
 
 Only render_background's weight sum P |A|^2 depends on the object. Its
 profile sum P |LG|^2 over the radius shells depends on the spectrum, beam,
@@ -197,20 +201,6 @@ def _check_truncation(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> Non
         )
 
 
-# OpenBLAS splits a matrix product over its threads once m n k exceeds this
-# (SMP_THRESHOLD_MIN 65536 times GEMM_MULTITHREAD_THRESHOLD 4).
-_SERIAL_GEMM_SIZE = 4 * 65536
-
-
-def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a few-row a, in column blocks of b that OpenBLAS runs on one thread each."""
-    out = np.empty((a.shape[0], b.shape[1]))
-    step = max(_SERIAL_GEMM_SIZE // a.size, 1)
-    for lo in range(0, b.shape[1], step):
-        np.matmul(a, b[:, lo : lo + step], out=out[:, lo : lo + step])
-    return out
-
-
 def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_max: int) -> ModeCoefficients:
     """Overlap coefficients of the object against LG modes at plane -z1.
 
@@ -271,7 +261,7 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
     for l, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
         weights = np.stack([coeffs.values[l_max + l], coeffs.values[l_max - l]]) * gouy
         # Rows: re +|l|, re -|l|, im +|l|, im -|l|.
-        parts = _serial_matmul(np.concatenate([weights.real, weights.imag]), radial)
+        parts = np.concatenate([weights.real, weights.imag]) @ radial
         shells = np.empty((2, parts.shape[1]), dtype=complex)
         shells.real, shells.imag = parts[:2], parts[2:]
         if chirp is not None:
@@ -287,9 +277,7 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
             acc[sin_slot] += term
         else:
             acc[cos_slot] += np.take(shells[0], inverse, out=term, mode="clip")
-    samples = _unfold(spec.side_points, acc)
-    samples.flags.writeable = False  # a fresh raster: ComplexField takes it without a copy
-    return ComplexField(spec, samples)
+    return ComplexField(spec, _unfold(spec.side_points, acc))
 
 
 @functools.lru_cache(maxsize=8)

@@ -71,7 +71,7 @@ def test_complex_field_immutable_and_norm():
         ComplexField(spec, np.full((8, 8), np.nan))
 
 
-def test_complex_field_copies_unless_handed_a_read_only_owner():
+def test_complex_field_checks_finiteness_and_copies_its_samples():
     spec = GridSpec(4, 1.0)
     for bad in (complex(np.inf, 0.0), complex(0.0, np.nan)):
         samples = np.zeros((4, 4), dtype=complex)
@@ -90,7 +90,10 @@ def test_complex_field_copies_unless_handed_a_read_only_owner():
     assert f.samples[0, 0] == 1.0
     owned = np.ones((4, 4), dtype=complex)
     owned.flags.writeable = False
-    assert ComplexField(spec, owned).samples is owned
+    f = ComplexField(spec, owned)  # read-only, but its owner may make it writable again
+    owned.flags.writeable = True
+    owned[0, 0] = 5.0
+    assert f.samples[0, 0] == 1.0
 
 
 def test_mode_index_validation():
