@@ -105,6 +105,17 @@ class GridSpec:
         return np.hypot(x, y), np.arctan2(y, x)
 
 
+def _frozen_samples(spec: GridSpec, arr: np.ndarray) -> np.ndarray:
+    """arr, checked against the window and finiteness, made read-only in place."""
+    n = spec.side_points
+    if arr.shape != (n, n):
+        raise ValueError(f"samples shape {arr.shape} does not match grid ({n}, {n})")
+    if not np.isfinite(arr).all():
+        raise ValueError("field samples must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ComplexField:
     """Immutable complex raster tied to the window it was sampled on."""
@@ -113,15 +124,15 @@ class ComplexField:
     samples: np.ndarray
 
     def __post_init__(self):
-        n = self.spec.side_points
-        arr = np.asarray(self.samples, dtype=np.complex128)
-        if arr.shape != (n, n):
-            raise ValueError(f"samples shape {arr.shape} does not match grid ({n}, {n})")
-        if not np.isfinite(arr).all():
-            raise ValueError("field samples must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _frozen_samples(self.spec, np.array(self.samples, dtype=np.complex128)))
+
+    @classmethod
+    def _adopt(cls, spec: GridSpec, samples: np.ndarray) -> "ComplexField":
+        """Field over a fresh complex128 raster that no caller holds: checked and frozen, not copied."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "spec", spec)
+        object.__setattr__(field, "samples", _frozen_samples(spec, samples))
+        return field
 
     def norm(self) -> float:
         """Discrete L2 norm sqrt(sum |f|^2 * pixel_area)."""

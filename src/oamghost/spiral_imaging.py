@@ -277,7 +277,7 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
             acc[sin_slot] += term
         else:
             acc[cos_slot] += np.take(shells[0], inverse, out=term, mode="clip")
-    return ComplexField(spec, _unfold(spec.side_points, acc))
+    return ComplexField._adopt(spec, _unfold(spec.side_points, acc))  # a fresh raster: no copy
 
 
 @functools.lru_cache(maxsize=8)

@@ -94,6 +94,10 @@ def test_complex_field_checks_finiteness_and_copies_its_samples():
     owned.flags.writeable = True
     owned[0, 0] = 5.0
     assert f.samples[0, 0] == 1.0
+    fresh = np.ones((4, 4), dtype=complex)  # the private path for a raster no caller holds
+    assert ComplexField._adopt(spec, fresh).samples is fresh and not fresh.flags.writeable
+    with pytest.raises(ValueError, match="finite"):
+        ComplexField._adopt(spec, np.full((4, 4), np.nan, dtype=complex))
 
 
 def test_mode_index_validation():
