@@ -124,7 +124,8 @@ class ComplexField:
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _frozen_samples(self.spec, np.array(self.samples, dtype=np.complex128)))
+        arr = np.array(self.samples, dtype=np.complex128)  # always a copy of the caller's samples
+        object.__setattr__(self, "samples", _frozen_samples(self.spec, arr))
 
     @classmethod
     def _adopt(cls, spec: GridSpec, samples: np.ndarray) -> "ComplexField":
