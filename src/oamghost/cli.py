@@ -24,13 +24,14 @@ import numpy as np
 from .field_grid import (
     BeamSpec,
     GridSpec,
+    _worst_norm_defect,
+    default_grid,
     intensity_and_phase,
     write_field,
 )
 from .quantum_correlations import discord_curve
 from .spiral_imaging import (
     clover_object,
-    image_grid,
     load_object,
     read_pgm,
     render_total,
@@ -39,7 +40,6 @@ from .spiral_imaging import (
 from .thermal_source import (
     build_spectrum,
     csd_mode_decompose,
-    oracle_grid,
     schmidt_number,
     source_geometry,
 )
@@ -337,6 +337,13 @@ def _mode_order(l_max: int, p_max: int) -> list[tuple[int, int]]:
     return [(l, p) for l in ls for p in range(p_max + 1)]
 
 
+def _window(config: RunConfig, beam: BeamSpec, z: float = 0.0, other_scale: float = 0.0) -> GridSpec:
+    """The --extent window if one is set, else default_grid for the run's truncation and grid."""
+    if config.extent is not None:
+        return GridSpec(config.grid, config.extent)
+    return default_grid(beam, config.l_max, config.p_max, config.grid, z, other_scale)
+
+
 def _run_spectrum(config: RunConfig) -> int:
     geo = source_geometry(config.sigma_s, config.sigma_g)
     spectrum = build_spectrum(geo, config.l_max, config.p_max)
@@ -361,10 +368,7 @@ def _run_spectrum(config: RunConfig) -> int:
 def _run_image(config: RunConfig) -> int:
     geo = source_geometry(config.sigma_s, config.sigma_g)
     beam = BeamSpec(geo.matched_waist, config.wavelength)
-    if config.extent is not None:
-        spec = GridSpec(config.grid, config.extent)
-    else:
-        spec = image_grid(beam, config.z1, config.z2, config.clover_radius, config.grid)
+    spec = _window(config, beam, max(abs(config.z1), abs(config.z2)), config.clover_radius)
     if config.object_path is not None:
         inten = read_pgm(config.object_path)
         phase = read_pgm(config.phase_path) if config.phase_path is not None else None
@@ -409,6 +413,9 @@ def _run_image(config: RunConfig) -> int:
     obj_power = float(np.sum(np.abs(obj.samples) ** 2)) * spec.pixel_area
     print(f"grid: {spec.side_points} points over {spec.extent:.6e} m")
     print(f"object power {obj_power:.6e}, captured fraction {coeffs.power() / obj_power:.4f}")
+    defect, mode = max(_worst_norm_defect(beam, spec, z, config.l_max, config.p_max)
+                       for z in (-config.z1, config.z2))  # read from the passes' cache
+    print(f"worst mode norm on the window: |norm^2 - 1| = {defect:.3g} at {mode}")
     print(f"background weight = {result.background_weight:.6e}")
     print(f"wrote {len(emitted)} files under {config.out!r} with prefix {config.out_prefix!r}")
     _write_manifest(replace(config, extent=spec.extent), emitted)
@@ -432,10 +439,7 @@ def _run_discord(config: RunConfig) -> int:
 
 def _run_oracle_csd(config: RunConfig) -> int:
     geo = source_geometry(config.sigma_s, config.sigma_g)
-    if config.extent is not None:
-        spec = GridSpec(config.grid, config.extent)
-    else:
-        spec = oracle_grid(geo, config.l_max, config.p_max, config.grid)
+    spec = _window(config, BeamSpec(geo.matched_waist, config.wavelength))  # oracle_grid when automatic
     tensor = csd_mode_decompose(geo, config.l_max, config.p_max, spec, config.wavelength)
 
     modes = _mode_order(config.l_max, config.p_max)

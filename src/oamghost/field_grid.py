@@ -64,7 +64,7 @@ __all__ = [
 
 
 class ModeClippedWarning(UserWarning):
-    """A sampled mode spills past the edge of its sampling window."""
+    """A sampled mode's norm^2 on its window is off 1 by over 1e-3: clipped or undersampled."""
 
 
 @dataclass(frozen=True)
@@ -185,28 +185,6 @@ def _log_norm(l_abs: int, p: int) -> float:
     return 0.5 * (math.log(2.0 / math.pi) + math.lgamma(p + 1) - math.lgamma(p + l_abs + 1))
 
 
-def _mode_radius(beam: BeamSpec, z: float, l_abs: int, p: int) -> float:
-    """Classical radius w(z) sqrt(2p + |l| + 1) of LG(l, p) in plane z."""
-    return beam.width(z) * math.sqrt(2.0 * p + l_abs + 1.0)
-
-
-def _warn_if_clipped(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int) -> None:
-    """Emit a ModeClippedWarning when LG(l_max, p_max) spills past the window.
-
-    The largest mode of the lattice is measured by the _mode_radius rule.
-    Each engine pass calls this itself, whether or not it runs the engine,
-    so the warning points at the line that called the pass.
-    """
-    radius = _mode_radius(beam, z, l_max, p_max)
-    if radius > 0.5 * spec.extent:
-        warnings.warn(
-            f"modes up to LG(l={l_max}, p={p_max}) at z={z:g} m reach radius {radius:.3g} m, "
-            f"clipped by window half-extent {0.5 * spec.extent:.3g} m",
-            ModeClippedWarning,
-            stacklevel=3,
-        )
-
-
 def lg_amplitude(mode: ModeIndex, beam: BeamSpec, radius, azimuth, z: float = 0.0):
     """Evaluate the normalized LG mode at polar points (radius, azimuth) in plane z.
 
@@ -299,6 +277,13 @@ def _fold(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mirror_weight(n: int) -> np.ndarray:
+    """(h, h) window pixels each quarter pixel stands for: 2 per axis, 1 on the centre line of odd n."""
+    axis = np.full((n + 1) // 2, 2.0)
+    axis[-1] -= n % 2
+    return np.outer(axis, axis)
+
+
 def _mirror_slots(l_abs: int):
     """[sx, sy] slots (see _fold) of the cos(|l| phi) and sin(|l| phi) terms.
 
@@ -371,8 +356,8 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
 
     Work on the shells, then gather through inverse once per quarter pixel.
     The radial and harmonic buffers are overwritten by the next block; copy
-    what must outlive it. The engine does not warn about clipped modes; its
-    callers do (_warn_if_clipped).
+    what must outlive it. The engine does not judge its window; its callers
+    do, from the modes' measured norms (_warn_if_clipped).
     """
     r2, inverse, eiphi = _shells(spec)
     w = beam.width(z)
@@ -407,6 +392,43 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
         yield radial, harmonic, np.exp(-1j * (orders + a) * psi), chirp, inverse
 
 
+_NORM_TOLERANCE = 1e-3  # largest |norm^2 - 1| of a sampled mode; mode-math's orthonormality tolerance
+
+
+@functools.lru_cache(maxsize=16)
+def _mode_norms(beam: BeamSpec, spec: GridSpec, z_abs: float, l_max: int, p_max: int) -> np.ndarray:
+    """Read-only (l_max + 1, p_max + 1) discrete norms^2 of LG(+-|l|, p) on the window at +-z_abs.
+
+    |LG|^2 is radial[p]^2 on each radius shell: harmonic, chirp and Gouy phase have modulus 1,
+    and w(-z) = w(z). So the norm^2 is pixel_area sum_s n_s radial[p](s)^2 over the shells s of
+    n_s window pixels. Cached: one image's passes at -z and +z, and a sweep's jobs, share one pass.
+    """
+    r2, inverse, _ = _shells(spec)
+    counts = np.bincount(inverse.ravel(), _mirror_weight(spec.side_points).ravel(), r2.size)
+    counts *= spec.pixel_area
+    norms = np.array([np.einsum("ps,ps,s->p", radial, radial, counts)
+                      for radial, *_ in _lg_blocks(beam, spec, z_abs, l_max, p_max)])
+    norms.flags.writeable = False
+    return norms
+
+
+def _worst_norm_defect(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int):
+    """(|norm^2 - 1|, "LG(+-l, p)") of the lattice's worst-sampled mode on the window at plane z."""
+    defects = np.abs(_mode_norms(beam, spec, abs(float(z)), l_max, p_max) - 1.0)
+    l, p = np.unravel_index(np.argmax(defects), defects.shape)
+    return float(defects[l, p]), f"LG({'+-' if l else ''}{l}, {p})"
+
+
+def _warn_if_clipped(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int) -> None:
+    """Warn (ModeClippedWarning) when a mode up to (l_max, p_max) is off _NORM_TOLERANCE on the window.
+    Each engine pass calls this itself, so the warning points at the line that called the pass."""
+    defect, mode = _worst_norm_defect(beam, spec, z, l_max, p_max)
+    if defect > _NORM_TOLERANCE:
+        warnings.warn(f"{mode} at z={z:g} m has |norm^2 - 1| = {defect:.3g} (tolerance {_NORM_TOLERANCE:g})"
+                      f" on the {spec.side_points}^2 window of {spec.extent:.3g} m: clipped by the window or"
+                      " undersampled by its pitch", ModeClippedWarning, stacklevel=3)
+
+
 def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
     """Yield (mode, raster) for each requested mode, grouped by |l| ascending.
 
@@ -414,10 +436,10 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
 
     Per-mode view of _lg_blocks, the separable engine behind the imaging
     functions: radial factors are built once per |l| over the radius shells
-    of the lattice that spans the requested modes, and that lattice's largest
-    mode decides the ModeClippedWarning. Each raster is built on the quarter
-    and mirror-filled onto the window; yielded rasters are freshly allocated
-    (N, N) arrays and safe to keep.
+    of the lattice that spans the requested modes, and that lattice's worst
+    measured norm decides the ModeClippedWarning. Each raster is built on the
+    quarter and mirror-filled onto the window; yielded rasters are freshly
+    allocated (N, N) arrays and safe to keep.
     """
     modes = [m if isinstance(m, ModeIndex) else ModeIndex(*m) for m in modes]
     if not modes:
@@ -468,17 +490,13 @@ def default_grid(
 ) -> GridSpec:
     """Window sized to hold every mode up to (l_max, p_max) at plane z.
 
-    The half-extent is the classical radius (_mode_radius) of LG(l_max, p_max)
-    with a Gaussian-tail margin, never less than 4 beam radii (extent >= 8
-    waists). ``other_scale`` (e.g. an object radius) widens the window to at
-    least 4 times that scale.
+    The package's one window rule (the CLI's image window, oracle_grid): the half-extent is 1.25
+    times LG(l_max, p_max)'s classical radius w(z) sqrt(2 p_max + l_max + 1) plus 2 w(z), and at
+    least 4 w(z) and 4 other_scale (e.g. an object radius). Whether side_points samples the modes
+    finely enough is measured by each engine pass (ModeClippedWarning).
     """
     w = beam.width(z)
-    half = max(
-        1.25 * _mode_radius(beam, z, l_max, p_max) + 2.0 * w,
-        4.0 * w,
-        4.0 * other_scale,
-    )
+    half = max(1.25 * (w * math.sqrt(2.0 * p_max + l_max + 1.0)) + 2.0 * w, 4.0 * w, 4.0 * other_scale)
     return GridSpec(side_points, 2.0 * half)
 
 

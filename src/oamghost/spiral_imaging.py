@@ -27,16 +27,9 @@ multiplied with the (p_max + 1, S) radial stack over the S radius shells.
 On a 2-vCPU x86-64 host, at 256^2 with p_max = 9, the product took 13 us
 against 106 us for the two np.einsum calls it replaces.
 
-A CLI process loads OpenBLAS with one thread (see the package docstring);
-a caller that imported numpy first keeps its pool. OpenBLAS, as numpy ships
-it, splits a product over its threads only once m n k exceeds 262144, here
-4 (p_max + 1) S. That holds the products serial up to p_max = 10 at 256^2
-(S = 5473; the plane-sweep benchmark runs p_max = 9), p_max = 43 at 128^2
-and p_max = 2 at 512^2 (S = 20604). Past it, on a 2-vCPU host with a
-2-thread pool at 512^2 and p_max = 20, object_spectrum still ran on one
-core, but render_pure_image's product was split and its idle worker spun:
-the pass took up to twice its wall time in CPU. Such a caller can set
-OPENBLAS_NUM_THREADS=1 before it imports numpy.
+A CLI process loads OpenBLAS with one thread (see the package docstring).
+In a caller that imported numpy first, OpenBLAS splits these products over
+its pool once m n k = 4 (p_max + 1) S exceeds 262144 (README, "Threads").
 
 Only render_background's weight sum P |A|^2 depends on the object. Its
 profile sum P |LG|^2 over the radius shells depends on the spectrum, beam,
@@ -70,7 +63,6 @@ __all__ = [
     "GhostImageResult",
     "ModeCoefficients",
     "clover_object",
-    "image_grid",
     "image_spectrum",
     "load_object",
     "object_spectrum",
@@ -185,12 +177,6 @@ def clover_object(spec: GridSpec, radius: float, phase_depth: float = math.pi / 
     c2 = np.cos(2.0 * phi)
     samples = np.exp(-((r / radius) ** 2)) * np.abs(c2) * np.exp(1j * phase_depth * c2)
     return ComplexField(spec, samples)
-
-
-def image_grid(beam: BeamSpec, z1: float, z2: float, object_scale: float, side_points: int) -> GridSpec:
-    """Imaging window: half-extent 4 max(w(z1), w(z2), object_scale)."""
-    half = 4.0 * max(beam.width(z1), beam.width(z2), object_scale)
-    return GridSpec(side_points, 2.0 * half)
 
 
 def _check_truncation(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> None:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_grid import BeamSpec, GridSpec, ModeIndex, _lg_blocks, _warn_if_clipped
+from .field_grid import (BeamSpec, GridSpec, ModeIndex, _lg_blocks, _mirror_weight, _warn_if_clipped,
+                         default_grid)
 
 __all__ = [
     "CsdTensor",
@@ -206,10 +207,8 @@ class CsdTensor:
 
 
 def oracle_grid(geometry: SourceGeometry, l_max: int, p_max: int, side_points: int = 128) -> GridSpec:
-    """Window for csd_mode_decompose: contains the highest requested mode with margin."""
-    w = geometry.matched_waist
-    half = w * (1.3 * math.sqrt(2.0 * p_max + l_max + 1.0) + 2.0)
-    return GridSpec(side_points, 2.0 * half)
+    """Window for csd_mode_decompose: field_grid.default_grid for the matched waist at z = 0."""
+    return default_grid(BeamSpec(geometry.matched_waist), l_max, p_max, side_points)
 
 
 def csd_mode_decompose(
@@ -298,11 +297,7 @@ def csd_mode_decompose(
     x, y = spec.grids()
     x, y = x[:h, :h], y[:h, :h]
     envelope = np.exp(-(x * x + y * y) / (4.0 * geometry.sigma_s ** 2))
-    # Each quarter pixel stands for itself and its mirror images.
-    axis_weight = np.full(h, 2.0)
-    if n % 2:
-        axis_weight[-1] = 1.0
-    weight = np.outer(axis_weight, axis_weight)
+    weight = _mirror_weight(n)  # each quarter pixel stands for itself and its mirror images
     kernel = None
     if math.isfinite(geometry.sigma_g):
         offset = np.arange(n) * spec.pixel_pitch

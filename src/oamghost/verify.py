@@ -11,15 +11,15 @@ from __future__ import annotations
 import inspect
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .field_grid import (
     BeamSpec,
-    ModeClippedWarning,
     ModeIndex,
+    _NORM_TOLERANCE,
+    _worst_norm_defect,
     default_grid,
     iter_lg_rasters,
     lg_amplitude,
@@ -34,7 +34,6 @@ from .quantum_correlations import (
 )
 from .spiral_imaging import (
     clover_object,
-    image_grid,
     image_spectrum,
     render_pure_image,
     render_total,
@@ -319,12 +318,11 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
     results = []
     geo = source_geometry(sigma_s, sigma_g)
     beam = BeamSpec(geo.matched_waist, wavelength)
-    spec = image_grid(beam, z1, z2, clover_radius, side_points)
+    spec = default_grid(beam, l_max, p_max, side_points, z=max(abs(z1), abs(z2)),
+                        other_scale=clover_radius)
     half = 0.5 * spec.extent
     obj = clover_object(spec, clover_radius)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ModeClippedWarning)
-        result = render_total(obj, geo, z1, z2, l_max, p_max, spec, wavelength)
+    result = render_total(obj, geo, z1, z2, l_max, p_max, spec, wavelength)
     coeffs = result.object_coefficients
 
     # (a) decomposition identity and mode-capture sanity.
@@ -337,6 +335,10 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
     capture = coeffs.power() / (float(np.sum(np.abs(obj.samples) ** 2)) * spec.pixel_area)
     results.append(CheckResult("mode-capture", capture >= 0.95,
                                f"truncation captures {capture:.4f} of object power (floor 0.95)"))
+    defect, mode = max(_worst_norm_defect(beam, spec, z, l_max, p_max) for z in (-z1, z2))  # cached
+    results.append(CheckResult("basis-norm", defect <= _NORM_TOLERANCE,
+                               f"max |norm^2 - 1| = {defect:.3e} at {mode} on the window "
+                               f"at -z1 and +z2 (tol {_NORM_TOLERANCE:g})"))
 
     # (b) background azimuthal symmetry off-grid, and the raster against the
     # pointwise oracle weight * sum P |LG|^2 at seeded pixel centres.
@@ -348,15 +350,10 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
     radius = np.concatenate([rings, r])
     azimuth = np.concatenate([np.tile(angles, 3), phi])
     mix = np.zeros_like(radius)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ModeClippedWarning)
-        for l in range(-l_max, l_max + 1):
-            for p in range(p_max + 1):
-                a = spectrum.amplitudes[l + l_max, p]
-                if a == 0:
-                    continue
-                f = lg_amplitude(ModeIndex(l, p), beam, radius, azimuth, z2)
-                mix += a * (f.real ** 2 + f.imag ** 2)
+    for (row, p), a in np.ndenumerate(spectrum.amplitudes):
+        if a:
+            f = lg_amplitude(ModeIndex(row - l_max, p), beam, radius, azimuth, z2)
+            mix += a * (f.real ** 2 + f.imag ** 2)
     ring = mix[:rings.size].reshape(3, angles.size)
     worst = float(np.max(ring.std(axis=1) / ring.mean(axis=1)))
     results.append(CheckResult("background-azimuthal", worst <= 1e-6,
@@ -375,10 +372,8 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
     # truncated object (z2 = z1 balances propagation phases).
     flat = flat_spectrum(l_max, p_max)
     image_flat = image_spectrum(coeffs, flat)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ModeClippedWarning)
-        pure_flat = render_pure_image(image_flat, spec, z2)
-        proj = render_pure_image(coeffs, spec, -z1)
+    pure_flat = render_pure_image(image_flat, spec, z2)
+    proj = render_pure_image(coeffs, spec, -z1)
     mask = np.abs(proj.samples) ** 2 > 0.1 * float(np.max(np.abs(proj.samples) ** 2))
     # arg(pure) should equal -arg(proj); wrap the sum into (-pi, pi].
     mismatch = np.angle(pure_flat.samples[mask]) + np.angle(proj.samples[mask])

@@ -3,8 +3,10 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +22,9 @@ from oamghost.cli import (
     main,
     parse_config,
 )
-from oamghost.field_grid import BeamSpec, ModeIndex, read_field
+from oamghost.field_grid import BeamSpec, ModeClippedWarning, ModeIndex, default_grid, read_field
 from oamghost.quantum_correlations import discord_curve
-from oamghost.spiral_imaging import clover_object, image_grid, render_total
+from oamghost.spiral_imaging import clover_object, render_total
 from oamghost.thermal_source import build_spectrum, source_geometry, spectrum_amplitude
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -252,8 +254,8 @@ def test_image_run_emits_file_set(tmp_path, capsys):
     assert lines[0] == "l,p,re_A,im_A,re_B,im_B"
     assert [tuple(int(v) for v in line.split(",")[:2]) for line in lines[1:]] == MODES_2_1
     geo = source_geometry(DEFAULTS["sigma_s"], DEFAULTS["sigma_g"])
-    spec = image_grid(BeamSpec(geo.matched_waist, DEFAULTS["wavelength"]), DEFAULTS["z1"],
-                      DEFAULTS["z2"], DEFAULTS["clover_radius"], 64)
+    spec = default_grid(BeamSpec(geo.matched_waist, DEFAULTS["wavelength"]), 2, 1, 64,
+                        z=max(DEFAULTS["z1"], DEFAULTS["z2"]), other_scale=DEFAULTS["clover_radius"])
     result = render_total(clover_object(spec, DEFAULTS["clover_radius"]), geo, DEFAULTS["z1"],
                           DEFAULTS["z2"], 2, 1, spec, DEFAULTS["wavelength"])
     for column, table in ((2, result.object_coefficients), (4, result.image_coefficients)):
@@ -269,6 +271,22 @@ def test_image_run_emits_file_set(tmp_path, capsys):
     for name in names:
         if name != "run_manifest.txt":
             assert f"# emitted: {name}" in manifest
+
+
+def test_default_image_run_warns_nothing(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["image", "--out", str(tmp_path)]) == EXIT_OK
+    assert "worst mode norm on the window" in capsys.readouterr().out
+
+
+def test_coarse_image_run_warns_with_the_worst_mode(tmp_path, capsys):
+    # 64 points over the default window undersample the 3362-mode lattice.
+    with pytest.warns(ModeClippedWarning) as record:
+        assert main(["image", "--grid", "64", "--l-max", "40", "--p-max", "40",
+                     "--out", str(tmp_path)]) == EXIT_OK
+    mode = re.search(r"at (LG\((\+-)?\d+, \d+\))", capsys.readouterr().out).group(1)
+    assert record and all(str(w.message).startswith(f"{mode} at z=") for w in record)
 
 
 def test_image_manifest_round_trip(tmp_path, capsys):

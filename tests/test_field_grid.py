@@ -14,6 +14,7 @@ from oamghost.field_grid import (
     ModeIndex,
     default_grid,
     inner_product,
+    _mode_norms,
     _shells,
     intensity_and_phase,
     iter_lg_rasters,
@@ -197,6 +198,30 @@ def test_clip_warning_on_small_window():
             list(iter_lg_rasters(BEAM, spec, 0.0, [mode]))
 
 
+def test_clip_warning_on_undersampled_mode():
+    # LG(0, 46) sits well inside this window, 9.6 w against a 21.4 w half-extent,
+    # but 256 points undersample its radial oscillation: it loses 5.8% of its norm.
+    spec = default_grid(BEAM, l_max=80, p_max=80, side_points=256)
+    with pytest.warns(ModeClippedWarning, match=r"^LG\(0, 46\) at z=0 m has \|norm\^2 - 1\| = 0\.0576"):
+        list(iter_lg_rasters(BEAM, spec, 0.0, [ModeIndex(0, 46)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(side=st.integers(2, 40), extent=st.floats(2.0, 12.0), l_max=st.integers(0, 12),
+       p_max=st.integers(0, 6), z=st.floats(0.05, 2.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_shell_norms_match_raster_norms(side, extent, l_max, p_max, z, sign):
+    spec = GridSpec(side, extent * WAIST)
+    z *= sign * BEAM.rayleigh_range
+    modes = [ModeIndex(l, p) for l in range(-l_max, l_max + 1) for p in range(p_max + 1)]
+    norms = _mode_norms(BEAM, spec, abs(z), l_max, p_max)
+    assert norms.shape == (l_max + 1, p_max + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModeClippedWarning)
+        for mode, raster in iter_lg_rasters(BEAM, spec, z, modes):
+            brute = np.sum(raster.real ** 2 + raster.imag ** 2) * spec.pixel_area
+            assert abs(norms[abs(mode.l), mode.p] - brute) <= 1e-12
+
+
 def test_inner_product_orthonormality_and_symmetry():
     spec = default_grid(BEAM, l_max=1, p_max=1)
     f00 = sample(ModeIndex(0, 0), spec)
@@ -247,6 +272,9 @@ def test_lg_amplitude_finite_at_high_order():
         assert np.max(np.abs(f)) > 0.0
 
 
+# These windows sample the rasters pointwise against the oracle; they do not
+# hold the lower modes of each lattice to the norm tolerance.
+@pytest.mark.filterwarnings("ignore::oamghost.field_grid.ModeClippedWarning")
 def test_iter_matches_oracle_at_high_order():
     spec = GridSpec(64, 48.0 * WAIST)
     r, phi = spec.polar()
@@ -257,6 +285,7 @@ def test_iter_matches_oracle_at_high_order():
             assert np.max(np.abs(raster - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.filterwarnings("ignore::oamghost.field_grid.ModeClippedWarning")
 @pytest.mark.parametrize("side", [81, 80])
 def test_iter_matches_oracle_on_odd_and_even_grids(side):
     # The odd grid has a pixel centre at r = 0, where every l != 0 mode vanishes.
