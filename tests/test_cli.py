@@ -281,7 +281,7 @@ def test_default_image_run_warns_nothing(tmp_path, capsys):
 
 
 def test_coarse_image_run_warns_with_the_worst_mode(tmp_path, capsys):
-    # 64 points over the default window undersample the 3362-mode lattice.
+    # 64 points over the default window undersample the 3321-mode lattice.
     with pytest.warns(ModeClippedWarning) as record:
         assert main(["image", "--grid", "64", "--l-max", "40", "--p-max", "40",
                      "--out", str(tmp_path)]) == EXIT_OK
