@@ -17,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import make_dataclass, replace
 
 import numpy as np
 
@@ -63,30 +63,76 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
 
-COMMANDS = ("spectrum", "image", "discord", "oracle-csd", "verify")
 
-DEFAULTS = {
-    "sigma_s": 1e-3,
-    "sigma_g": 2.5e-5,
-    "wavelength": 632.8e-9,
-    "z1": 0.5,
-    "z2": 0.5,
-    "l_max": 20,
-    "p_max": 20,
-    "grid": 512,
-    "extent": None,
-    "out": ".",
-    "out_prefix": None,
-    "seed": 0,
-    "samples": 200,
-    "sigma_g_min": 2e-4,
-    "sigma_g_max": 1e-2,
-    "suite": "all",
-    "object_path": None,
-    "phase_path": None,
-    "clover_radius": 7.5e-4,
-    "dump_field": False,
+# Parsers shared by a flag and its config line; each one's return annotation
+# is the RunConfig field type.
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unparsable number {text!r}") from None
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unparsable integer {text!r}") from None
+
+
+def _extent(text: str) -> float | None:
+    return None if text == "auto" else _number(text)
+
+
+def _optional(text: str) -> str | None:
+    return None if text.lower() == "none" else text
+
+
+def _boolean(text: str) -> bool:  # config lines only; the flag is store_true
+    low = text.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+
+
+# Every run parameter, once: argparse group -> rows of (key, parser, default,
+# metavar, help). The flag is --key with dashes unless _FLAGS names another.
+_PARAMETERS = {
+    "source and geometry": [
+        ("sigma_s", _number, 1e-3, "M", "intensity-envelope width sigma_s in meters"),
+        ("sigma_g", _number, 2.5e-5, "M",
+         "coherence width sigma_g in meters ('inf' for the coherent limit)"),
+        ("wavelength", _number, 632.8e-9, "M", None),
+        ("z1", _number, 0.5, "M", "source-to-object distance"),
+        ("z2", _number, 0.5, "M", "source-to-image distance"),
+    ],
+    "truncation and grid": [
+        ("l_max", _integer, 20, "L", None),
+        ("p_max", _integer, 20, "P", None),
+        ("grid", _integer, 512, "N", "raster side in points"),
+        ("extent", _extent, None, "M", "raster window side in meters (default: sized from the beam)"),
+    ],
+    "input and output": [
+        ("out", str, ".", "DIR", "output directory"),
+        ("out_prefix", _optional, None, "NAME", "filename prefix (default: the subcommand name)"),
+        ("object_path", _optional, None, "PGM", "object intensity raster (default: built-in clover)"),
+        ("phase_path", _optional, None, "PGM", "object phase raster, mapped onto [-pi, pi)"),
+        ("clover_radius", _number, 7.5e-4, "M", None),
+        ("dump_field", _boolean, False, None, "also write the complex pure field as .oamf"),
+    ],
+    "sweeps and verification": [
+        ("seed", _integer, 0, "N", None),
+        ("samples", _integer, 200, "N", None),
+        ("sigma_g_min", _number, 2e-4, "M", None),
+        ("sigma_g_max", _number, 1e-2, "M", None),
+        ("suite", str, "all", "NAME", "verification suite name or 'all'"),
+    ],
 }
+_FLAGS = {"object_path": "--object", "phase_path": "--phase"}
+_PARSERS = {key: parse for rows in _PARAMETERS.values() for key, parse, *_ in rows}
+DEFAULTS = {key: default for rows in _PARAMETERS.values() for key, _, default, *_ in rows}
 
 # RunConfig keys that the verify suites take; `grid` is their `side_points`.
 _SUITE_KEYS = ("sigma_s", "sigma_g", "wavelength", "z1", "z2", "l_max", "p_max", "grid",
@@ -100,12 +146,6 @@ _COMMAND_DEFAULTS = {
     "verify": dict.fromkeys(_SUITE_KEYS),
 }
 
-_FLOAT_KEYS = {"sigma_s", "sigma_g", "wavelength", "z1", "z2", "extent",
-               "sigma_g_min", "sigma_g_max", "clover_radius"}
-_INT_KEYS = {"l_max", "p_max", "grid", "seed", "samples"}
-_STR_KEYS = {"out", "out_prefix", "suite", "object_path", "phase_path"}
-_BOOL_KEYS = {"dump_field"}
-
 
 class UsageError(Exception):
     """Bad flags, bad config keys, or out-of-range parameter values."""
@@ -116,117 +156,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved parameters of one CLI invocation.
-
-    Under `verify` the suite parameters left unset are None (see
-    _COMMAND_DEFAULTS).
-    """
-
-    command: str
-    sigma_s: float
-    sigma_g: float
-    wavelength: float
-    z1: float
-    z2: float
-    l_max: int
-    p_max: int
-    grid: int
-    extent: float | None
-    out: str
-    out_prefix: str
-    seed: int
-    samples: int
-    sigma_g_min: float
-    sigma_g_max: float
-    suite: str
-    object_path: str | None
-    phase_path: str | None
-    clover_radius: float
-    dump_field: bool
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("command", str)] + [(key, "str" if parse is str else parse.__annotations__["return"])
+                          for key, parse in _PARSERS.items()],
+    frozen=True,
+    namespace={"__module__": __name__, "__doc__": (
+        "Fully resolved parameters of one CLI invocation.\n\n"
+        "Under `verify` the suite parameters left unset are None (see _COMMAND_DEFAULTS).")},
+)
 
 
 def _build_parser() -> _Parser:
     shared = _Parser(add_help=False)
-    g = shared.add_argument_group("source and geometry")
-    g.add_argument("--sigma-s", dest="sigma_s", type=float, metavar="M",
-                   help="intensity-envelope width sigma_s in meters")
-    g.add_argument("--sigma-g", dest="sigma_g", type=float, metavar="M",
-                   help="coherence width sigma_g in meters ('inf' for the coherent limit)")
-    g.add_argument("--wavelength", dest="wavelength", type=float, metavar="M")
-    g.add_argument("--z1", dest="z1", type=float, metavar="M",
-                   help="source-to-object distance")
-    g.add_argument("--z2", dest="z2", type=float, metavar="M",
-                   help="source-to-image distance")
-    g = shared.add_argument_group("truncation and grid")
-    g.add_argument("--l-max", dest="l_max", type=int, metavar="L")
-    g.add_argument("--p-max", dest="p_max", type=int, metavar="P")
-    g.add_argument("--grid", dest="grid", type=int, metavar="N",
-                   help="raster side in points")
-    g.add_argument("--extent", dest="extent", type=float, metavar="M",
-                   help="raster window side in meters (default: sized from the beam)")
-    g = shared.add_argument_group("input and output")
-    g.add_argument("--out", dest="out", metavar="DIR", help="output directory")
-    g.add_argument("--out-prefix", dest="out_prefix", metavar="NAME",
-                   help="filename prefix (default: the subcommand name)")
-    g.add_argument("--object", dest="object_path", metavar="PGM",
-                   help="object intensity raster (default: built-in clover)")
-    g.add_argument("--phase", dest="phase_path", metavar="PGM",
-                   help="object phase raster, mapped onto [-pi, pi)")
-    g.add_argument("--clover-radius", dest="clover_radius", type=float, metavar="M")
-    g.add_argument("--dump-field", dest="dump_field", action="store_true", default=None,
-                   help="also write the complex pure field as .oamf")
-    g.add_argument("--config", dest="config", metavar="FILE",
-                   help="read 'key = value' defaults from FILE")
-    g = shared.add_argument_group("sweeps and verification")
-    g.add_argument("--seed", dest="seed", type=int, metavar="N")
-    g.add_argument("--samples", dest="samples", type=int, metavar="N")
-    g.add_argument("--sigma-g-min", dest="sigma_g_min", type=float, metavar="M")
-    g.add_argument("--sigma-g-max", dest="sigma_g_max", type=float, metavar="M")
-    g.add_argument("--suite", dest="suite", metavar="NAME",
-                   help="verification suite name or 'all'")
+    for title, rows in _PARAMETERS.items():
+        g = shared.add_argument_group(title)
+        for key, parse, _, metavar, help in rows:
+            flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+            how = {"action": "store_true"} if parse is _boolean else {"type": parse, "metavar": metavar}
+            g.add_argument(flag, dest=key, default=None, help=help, **how)
+        if title == "input and output":
+            g.add_argument("--config", dest="config", metavar="FILE",
+                           help="read 'key = value' defaults from FILE")
 
     parser = _Parser(prog="oamghost",
                      description="Thermal ghost imaging in the orbital-angular-momentum basis.")
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("spectrum", parents=[shared],
-                   help="spiral-spectrum CSVs for a source geometry")
-    sub.add_parser("image", parents=[shared],
-                   help="ghost-image rasters and mode tables for an object")
-    sub.add_parser("discord", parents=[shared],
-                   help="geometric-discord curve over a coherence sweep")
-    sub.add_parser("oracle-csd", parents=[shared],
-                   help="quadrature mode decomposition of the source correlations")
-    sub.add_parser("verify", parents=[shared],
-                   help="run numerical verification suites")
+    for command, (_, help) in _COMMANDS.items():
+        sub.add_parser(command, parents=[shared], help=help)
     return parser
-
-
-def _convert(key: str, text: str, where: str):
-    if key in _FLOAT_KEYS:
-        if key == "extent" and text == "auto":
-            return None
-        try:
-            value = float(text)
-        except ValueError:
-            raise UsageError(f"{where}: key {key!r}: unparsable number {text!r}") from None
-        return value
-    if key in _INT_KEYS:
-        try:
-            return int(text)
-        except ValueError:
-            raise UsageError(f"{where}: key {key!r}: unparsable integer {text!r}") from None
-    if key in _BOOL_KEYS:
-        low = text.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise UsageError(f"{where}: key {key!r}: expected a boolean, got {text!r}")
-    if key in _STR_KEYS:
-        return None if text.lower() == "none" else text
-    raise UsageError(f"{where}: unknown key {key!r}")
 
 
 def _read_config_file(path: str) -> dict:
@@ -244,10 +202,14 @@ def _read_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, text = line.partition("=")
         key = key.strip().replace("-", "_")
-        text = text.strip()
         if key == "command":
             continue  # manifests carry it; the subcommand comes from argv
-        values[key] = _convert(key, text, f"{path}:{lineno}")
+        if key not in _PARSERS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _PARSERS[key](text.strip())
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{path}:{lineno}: key {key!r}: {exc}") from None
     return values
 
 
@@ -276,7 +238,7 @@ def parse_config(argv) -> RunConfig:
     """Resolve a RunConfig from argv, honoring flag > config file > default."""
     ns = _build_parser().parse_args(list(argv))
     if ns.command is None:
-        raise UsageError(f"missing subcommand; choose from {', '.join(COMMANDS)}")
+        raise UsageError(f"missing subcommand; choose from {', '.join(_COMMANDS)}")
     merged = dict(DEFAULTS)
     merged.update(_COMMAND_DEFAULTS.get(ns.command, {}))
     if ns.config is not None:
@@ -474,12 +436,13 @@ def _run_verify(config: RunConfig) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY
 
 
-_HANDLERS = {
-    "spectrum": _run_spectrum,
-    "image": _run_image,
-    "discord": _run_discord,
-    "oracle-csd": _run_oracle_csd,
-    "verify": _run_verify,
+# Every subcommand, once: name -> (handler, help).
+_COMMANDS = {
+    "spectrum": (_run_spectrum, "spiral-spectrum CSVs for a source geometry"),
+    "image": (_run_image, "ghost-image rasters and mode tables for an object"),
+    "discord": (_run_discord, "geometric-discord curve over a coherence sweep"),
+    "oracle-csd": (_run_oracle_csd, "quadrature mode decomposition of the source correlations"),
+    "verify": (_run_verify, "run numerical verification suites"),
 }
 
 
@@ -493,7 +456,7 @@ def run_command(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        return _HANDLERS[config.command](config)
+        return _COMMANDS[config.command][0](config)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

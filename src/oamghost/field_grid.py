@@ -351,7 +351,7 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
       normalization carried inside it, so nothing overflows;
     - harmonic: the quarter's exp(i |l| phi), by repeated multiplication;
     - gouy: the (p_max + 1,) Gouy phases exp(-i (2p + |l| + 1) arctan(z/zR));
-    - chirp: the (S,) curvature phase exp(i k rho^2 / 2R(z)), or None at z = 0;
+    - chirp: the (S,) curvature phase exp(i k rho^2 / 2R(z)), 1 at z = 0;
     - inverse: the read-only quarter shell index, the same in every block.
 
     Work on the shells, then gather through inverse once per quarter pixel.
@@ -362,13 +362,9 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
     r2, inverse, eiphi = _shells(spec)
     w = beam.width(z)
     zr = beam.rayleigh_range
-    if z == 0.0:
-        chirp = None
-        psi = 0.0
-    else:
-        big_r = z * (1.0 + (zr / z) ** 2)
-        chirp = np.exp(1j * (beam.wavenumber / (2.0 * big_r)) * r2)
-        psi = math.atan2(z, zr)
+    # 1 / R(z) = z / (z^2 + zR^2) has no division by z, so the chirp is 1 at z = 0.
+    chirp = np.exp(1j * (beam.wavenumber * z / (2.0 * (z * z + zr * zr))) * r2)
+    psi = math.atan2(z, zr)
     x = 2.0 * r2 / (w * w)
     sqrt_x = np.sqrt(x)
     orders = 2 * np.arange(p_max + 1) + 1
@@ -452,10 +448,7 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
         for mode in modes:
             if abs(mode.l) != l_abs:
                 continue
-            shell = radial[mode.p] * gouy[mode.p]
-            if chirp is not None:
-                shell *= chirp
-            shell = shell[inverse]
+            shell = (radial[mode.p] * gouy[mode.p] * chirp)[inverse]
             # The quarter and its xy-image carry exp(i l phi), the x- and
             # y-images exp(-i l phi), the x- and xy-images times (-1)^l.
             same, flipped = shell * harmonic, shell * np.conj(harmonic)

@@ -228,12 +228,11 @@ def geometric_discord_pure(spectrum: SpiralSpectrum) -> float:
 def discord_limit(geometry: SourceGeometry) -> float:
     """Untruncated-limit discord 1 / (x + 2/x)^4 with x = sigma_g / sigma_s.
 
-    Maximal (1/64) at x = sqrt(2); 0 in the coherent limit sigma_g = inf.
+    Maximal (1/64) at x = sqrt(2); 0 in the coherent limit sigma_g = inf. The
+    negative power underflows to 0 where the fourth power would overflow.
     """
-    if math.isinf(geometry.sigma_g):
-        return 0.0
     x = geometry.sigma_g / geometry.sigma_s
-    return 1.0 / (x + 2.0 / x) ** 4
+    return (x + 2.0 / x) ** -4
 
 
 def brute_force_discord(

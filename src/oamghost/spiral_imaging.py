@@ -213,9 +213,7 @@ def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_
                 for part in (re, im))
         b, d = (np.bincount(index, (part[sin_slot] * harmonic.imag).ravel(), n_shells)
                 for part in (im, re))
-        shells = np.stack([(a + b) + 1j * (c - d), (a - b) + 1j * (c + d)])
-        if chirp is not None:
-            shells *= np.conj(chirp)
+        shells = np.stack([(a + b) + 1j * (c - d), (a - b) + 1j * (c + d)]) * np.conj(chirp)
         # Rows: re +|l|, re -|l|, im +|l|, im -|l|.
         parts = np.concatenate([shells.real, shells.imag]) @ radial.T
         values[l_max + l] = np.conj(gouy) * (parts[0] + 1j * parts[2])
@@ -250,8 +248,7 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
         parts = np.concatenate([weights.real, weights.imag]) @ radial
         shells = np.empty((2, parts.shape[1]), dtype=complex)
         shells.real, shells.imag = parts[:2], parts[2:]
-        if chirp is not None:
-            shells *= chirp
+        shells *= chirp
         cos_slot, sin_slot = _mirror_slots(l)
         if l:
             # exp(i|l|phi) A + exp(-i|l|phi) B = cos (A + B) + sin i (A - B), with real factors.

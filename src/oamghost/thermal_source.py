@@ -58,8 +58,7 @@ def source_geometry(sigma_s: float, sigma_g: float = math.inf) -> SourceGeometry
         raise ValueError(f"sigma_s must be positive and finite, got {sigma_s}")
     if not sigma_g > 0:
         raise ValueError(f"sigma_g must be positive (inf allowed), got {sigma_g}")
-    ratio = 0.0 if math.isinf(sigma_g) else 2.0 * sigma_s / sigma_g
-    beta = math.atan(ratio)
+    beta = math.atan(2.0 * sigma_s / sigma_g)  # 0 in the coherent limit sigma_g = inf
     t = math.tan(0.5 * beta) ** 2
     waist = 2.0 * sigma_s * math.sqrt(math.cos(beta))
     return SourceGeometry(sigma_s, sigma_g, beta, t, waist)
@@ -176,8 +175,6 @@ def csd_value(rho1, rho2, geometry: SourceGeometry):
     q1 = np.sum(r1 * r1, axis=-1)
     q2 = np.sum(r2 * r2, axis=-1)
     envelope = np.exp(-(q1 + q2) / (4.0 * geometry.sigma_s ** 2))
-    if math.isinf(geometry.sigma_g):
-        return envelope
     dq = np.sum((r1 - r2) ** 2, axis=-1)
     return envelope * np.exp(-dq / (2.0 * geometry.sigma_g ** 2))
 
@@ -263,9 +260,9 @@ def csd_mode_decompose(
       a = G_u u^T and b = G_v v^T, taken per parity class of l, give the
       whole (real) table: f[l, l'] = f[-l, -l'] = a - b and
       f[l, -l'] = f[-l, l'] = a + b;
-    - sigma_g = inf: K = 1, so G = E times the window sum of u E or v E.
-      Only u with even l is even on both axes; every other part sums to
-      zero and is not summed;
+    - sigma_g = inf: K = 1, so K_- = 0 and K_+ is the mirror weight: the
+      blur gives G = E times the window sum of u E, and zero for every part
+      that is odd on an axis;
     - floor: kernel entries below sqrt(tiny) are set to zero. The dropped
       terms are below about 1e-150; kept, they would only slow the blur
       down. On oracle_grid windows (l_max, p_max <= 6) the integrand stays
@@ -284,7 +281,7 @@ def csd_mode_decompose(
             "default runtime budget (l_max <= 6, p_max <= 6, side_points <= 256); "
             "pass allow_large=True to force"
         )
-    if math.isfinite(geometry.sigma_g) and spec.pixel_pitch > geometry.sigma_g:
+    if spec.pixel_pitch > geometry.sigma_g:
         warnings.warn(
             f"pixel pitch {spec.pixel_pitch:.3g} m does not resolve the coherence width "
             f"{geometry.sigma_g:.3g} m; the quadrature may be inaccurate",
@@ -298,16 +295,14 @@ def csd_mode_decompose(
     x, y = x[:h, :h], y[:h, :h]
     envelope = np.exp(-(x * x + y * y) / (4.0 * geometry.sigma_s ** 2))
     weight = _mirror_weight(n)  # each quarter pixel stands for itself and its mirror images
-    kernel = None
-    if math.isfinite(geometry.sigma_g):
-        offset = np.arange(n) * spec.pixel_pitch
-        kernel = np.exp(-((offset[:h, None] - offset[None, :]) ** 2) / (2.0 * geometry.sigma_g ** 2))
-        # Below sqrt(tiny), products with the integrand could be subnormal.
-        kernel[kernel < math.sqrt(np.finfo(float).tiny)] = 0.0
-        near, far = kernel[:, :h], kernel[:, ::-1][:, :h]  # K[q, k], K[q, mirror(k)]
-        k_plus, k_minus = near + far, near - far
-        if n % 2:
-            k_plus[:, -1] *= 0.5
+    offset = np.arange(n) * spec.pixel_pitch
+    kernel = np.exp(-((offset[:h, None] - offset[None, :]) ** 2) / (2.0 * geometry.sigma_g ** 2))
+    # Below sqrt(tiny), products with the integrand could be subnormal.
+    kernel[kernel < math.sqrt(np.finfo(float).tiny)] = 0.0
+    near, far = kernel[:, :h], kernel[:, ::-1][:, :h]  # K[q, k], K[q, mirror(k)]
+    k_plus, k_minus = near + far, near - far
+    if n % 2:
+        k_plus[:, -1] *= 0.5
 
     # [part, l, p] holds the quarters of u (part 0) and v (part 1) of LG(l, p)
     # in rasters, and of G_u and G_v in partials, for l >= 0.
@@ -316,21 +311,16 @@ def csd_mode_decompose(
     beam = BeamSpec(geometry.matched_waist, wavelength)
     projection_weight = envelope * weight * spec.pixel_area
     _warn_if_clipped(beam, spec, 0.0, l_max, p_max)
-    # At z = 0 the Gouy phase is 1 and there is no chirp: LG(l, p) on the
+    # At z = 0 the Gouy phase and the chirp are 1: LG(l, p) on the
     # quarter is radial[p][inverse] * harmonic.
     for l, (radial, harmonic, _, _, inverse) in enumerate(_lg_blocks(beam, spec, 0.0, l_max, p_max)):
         shells = radial[:, inverse]
         np.multiply(shells, harmonic.real, out=rasters[0, l])
         np.multiply(shells, harmonic.imag, out=rasters[1, l])
         integrand = rasters[:, l] * envelope
-        if kernel is None:
-            partials[:, l] = 0.0
-            if l % 2 == 0:
-                partials[0, l] = np.sum(integrand[0] * weight, axis=(1, 2), keepdims=True)
-        else:
-            kx_u, kx_v = (k_plus, k_minus) if l % 2 == 0 else (k_minus, k_plus)
-            np.matmul(k_plus, integrand[0] @ kx_u.T, out=partials[0, l])
-            np.matmul(k_minus, integrand[1] @ kx_v.T, out=partials[1, l])
+        kx_u, kx_v = (k_plus, k_minus) if l % 2 == 0 else (k_minus, k_plus)
+        np.matmul(k_plus, integrand[0] @ kx_u.T, out=partials[0, l])
+        np.matmul(k_minus, integrand[1] @ kx_v.T, out=partials[1, l])
         partials[:, l] *= projection_weight
 
     # np.einsum, not a BLAS @: when the caller imported numpy before oamghost,

@@ -3,7 +3,7 @@
 Each suite_* function checks one family of claims at its documented default
 parameters and returns a list of CheckResult records. The CLI `verify`
 subcommand and the acceptance tests both run through run_suite so they agree
-on what was checked.
+on what was checked; run_suite also times each suite against its budget.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ def suite_discord_extremum(l_max: int = 60, p_max: int = 60, samples: int = 200,
     at ratio sqrt(2) with value 1/64, and that for ratio >= 0.5 the truncated
     value agrees with the closed-form infinite-lattice limit.
     """
-    t0 = time.perf_counter()
     ratios = np.linspace(0.2, 10.0, samples)
     values = np.empty(samples)
     limits = np.empty(samples)
@@ -97,7 +96,6 @@ def suite_discord_extremum(l_max: int = 60, p_max: int = 60, samples: int = 200,
     peak_err = abs(float(values[k]) - 1.0 / 64.0)
     tail = ratios >= 0.5
     agree = float(np.max(np.abs(values[tail] - limits[tail])))
-    elapsed = time.perf_counter() - t0
     return [
         CheckResult("extremum-location", loc_err <= step + 1e-12,
                     f"argmax at ratio {ratios[k]:.6f}, |ratio - sqrt(2)| = {loc_err:.3e} "
@@ -106,7 +104,6 @@ def suite_discord_extremum(l_max: int = 60, p_max: int = 60, samples: int = 200,
                     f"peak discord {values[k]:.9f}, |peak - 1/64| = {peak_err:.3e} (tol 1e-4)"),
         CheckResult("limit-agreement", agree <= 1e-3,
                     f"max |truncated - closed form| = {agree:.3e} for ratio >= 0.5 (tol 1e-3)"),
-        CheckResult("runtime", elapsed < 2.0, f"{elapsed:.2f} s (budget 2 s)"),
     ]
 
 
@@ -152,18 +149,13 @@ def suite_csd_oracle(side_points: int = 128, l_max: int = 3, p_max: int = 3) -> 
     source geometries, and checks the (l' = -l, p' = p) selection rule and
     the geometric ratio t^(|l| + 2p) on the surviving diagonal.
     """
-    t0 = time.perf_counter()
-    results = _csd_checks("partially-coherent", 1e-3, 1e-4, l_max, p_max, side_points)
-    results += _csd_checks("quasihomogeneous", 1e-3, 2.5e-5, l_max, p_max, side_points)
-    elapsed = time.perf_counter() - t0
-    results.append(CheckResult("runtime", elapsed < 0.5, f"{elapsed:.2f} s (budget 0.5 s)"))
-    return results
+    return (_csd_checks("partially-coherent", 1e-3, 1e-4, l_max, p_max, side_points)
+            + _csd_checks("quasihomogeneous", 1e-3, 2.5e-5, l_max, p_max, side_points))
 
 
 def suite_normalization(l_max: int = 60, p_max: int = 60) -> list[CheckResult]:
     """Spiral spectrum sum rules: truncated sum of squares against 1 and the
     closed forms for sum P, sum P^2, sum P^4 on the full lattice."""
-    t0 = time.perf_counter()
     results = []
     defect = 0.0
     # sigma_g values spanning t from 0.17 up to just over 0.9 at sigma_s = 1 mm.
@@ -186,10 +178,8 @@ def suite_normalization(l_max: int = 60, p_max: int = 60) -> list[CheckResult]:
     e2 = abs(s2 - 1.0)
     e4 = abs(s4 - ((1.0 - t * t) / (1.0 + t * t)) ** 2)
     err = max(e1, e2, e4)
-    elapsed = time.perf_counter() - t0
     results.append(CheckResult("closed-forms", err <= 1e-9,
                                f"max closed-form deviation {err:.3e} (tol 1e-9)"))
-    results.append(CheckResult("runtime", elapsed < 1.0, f"{elapsed:.3f} s (budget 1 s)"))
     return results
 
 
@@ -209,7 +199,6 @@ def suite_separability(l_max: int | None = None, p_max: int | None = None,
     criterion above it. Also checks the closed-form robustness R = 1 at
     sigma_g = 2 sigma_s on the full lattice.
     """
-    t0 = time.perf_counter()
     results = []
     rng = np.random.default_rng(seed)
     worst_res = 0.0
@@ -254,8 +243,6 @@ def suite_separability(l_max: int | None = None, p_max: int | None = None,
     r_full = s1 * s1 - 1.0
     results.append(CheckResult("full-lattice-robustness", abs(r_full - 1.0) <= 1e-12,
                                f"(sum P)^2 - 1 = {r_full:.15f} at sigma_g = 2 sigma_s"))
-    elapsed = time.perf_counter() - t0
-    results.append(CheckResult("runtime", elapsed < 5.0, f"{elapsed:.2f} s (budget 5 s)"))
     return results
 
 
@@ -268,7 +255,6 @@ def suite_discord_oracle(seed: int = 0, restarts: int = 6, iterations: int = 400
     Jacobi search converges to the closed form to roundoff, so the search
     result must match it within 1e-10 on either side.
     """
-    t0 = time.perf_counter()
     results = []
     v = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     bell = np.outer(v, v)
@@ -301,8 +287,6 @@ def suite_discord_oracle(seed: int = 0, restarts: int = 6, iterations: int = 400
                 f"thermal-d{d}-rotated", -1e-10 <= diff <= 1e-10,
                 f"search {got:.12f} vs closed form {closed:.12f} after a Haar-random unitary on B "
                 f"(diff {diff:+.2e}, tol 1e-10)"))
-    elapsed = time.perf_counter() - t0
-    results.append(CheckResult("runtime", elapsed < 2.0, f"{elapsed:.2f} s (budget 2 s)"))
     return results
 
 
@@ -314,7 +298,6 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
     """End-to-end ghost image of the clover target in the quasihomogeneous
     regime, checking the two-term structure, background symmetry, and the
     phase-conjugating character of the pure term."""
-    t0 = time.perf_counter()
     results = []
     geo = source_geometry(sigma_s, sigma_g)
     beam = BeamSpec(geo.matched_waist, wavelength)
@@ -388,9 +371,6 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
     corr = float(np.corrcoef(pure2.ravel(), proj2.ravel())[0, 1])
     results.append(CheckResult("intensity-correlation", corr >= 0.9,
                                f"Pearson(|pure|^2, |object proj|^2) = {corr:.4f} (floor 0.9)"))
-
-    elapsed = time.perf_counter() - t0
-    results.append(CheckResult("runtime", elapsed < 5.0, f"{elapsed:.2f} s (budget 5 s)"))
     return results
 
 
@@ -398,7 +378,6 @@ def suite_mode_math(side_points: int = 512, seed: int = 0) -> list[CheckResult]:
     """Mode-machinery checks: Gram matrix of the LG family over |l| <= 10,
     p <= 5 against the identity, and the index-conjugation identity
     LG(-l, p; z) = conj(LG(l, p; -z)) at random points and planes."""
-    t0 = time.perf_counter()
     results = []
     beam = BeamSpec(1e-3)
     spec = default_grid(beam, l_max=10, p_max=5, side_points=side_points)
@@ -433,8 +412,6 @@ def suite_mode_math(side_points: int = 512, seed: int = 0) -> list[CheckResult]:
         worst = max(worst, abs(a - b) / scale)
     results.append(CheckResult("conjugation-identity", worst <= 1e-12,
                                f"max relative deviation {worst:.3e} over 200 draws (tol 1e-12)"))
-    elapsed = time.perf_counter() - t0
-    results.append(CheckResult("runtime", elapsed < 30.0, f"{elapsed:.2f} s (budget 30 s)"))
     return results
 
 
@@ -448,21 +425,29 @@ SUITES = {
     "mode-math": suite_mode_math,
 }
 
+# Wall-clock budget of each suite, in seconds; run_suite checks it.
+_BUDGETS = {"discord-extremum": 2.0, "csd-oracle": 0.5, "normalization": 1.0, "separability": 5.0,
+            "discord-oracle": 2.0, "imaging": 5.0, "mode-math": 30.0}
+
 
 def run_suite(name: str, **kwargs) -> list[CheckResult]:
     """Run one named suite, or every suite in order for name == 'all'.
 
-    Keyword arguments are forwarded to each suite that accepts them.
+    Keyword arguments are forwarded to each suite that accepts them. Each
+    suite's checks end with a `runtime` check of its wall time against its
+    budget in _BUDGETS.
     """
-    if name == "all":
-        results = []
-        for fn in SUITES.values():
-            accepted = set(inspect.signature(fn).parameters)
-            results.extend(fn(**{k: v for k, v in kwargs.items() if k in accepted}))
-        return results
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(sorted(SUITES))} or 'all'")
-    fn = SUITES[name]
-    accepted = set(inspect.signature(fn).parameters)
-    return fn(**{k: v for k, v in kwargs.items() if k in accepted})
+    results = []
+    for suite, fn in SUITES.items():
+        if name not in ("all", suite):
+            continue
+        accepted = set(inspect.signature(fn).parameters)
+        t0 = time.perf_counter()
+        results += fn(**{k: v for k, v in kwargs.items() if k in accepted})
+        elapsed = time.perf_counter() - t0
+        budget = _BUDGETS[suite]
+        results.append(CheckResult("runtime", elapsed < budget, f"{elapsed:.2f} s (budget {budget:g} s)"))
+    return results

@@ -7,9 +7,12 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oamghost
 from oamghost.cli import (
@@ -18,7 +21,11 @@ from oamghost.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    RunConfig,
     UsageError,
+    _FLAGS,
+    _format_value,
+    _read_config_file,
     main,
     parse_config,
 )
@@ -63,6 +70,59 @@ def test_flag_beats_config_file(tmp_path):
 def test_sigma_g_inf():
     c = parse_config(["spectrum", "--sigma-g", "inf"])
     assert math.isinf(c.sigma_g)
+
+
+# Text with no whitespace, line break or control character: what a flag and a
+# config line both carry unchanged.
+_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp", "Zs")))
+# A value of each RunConfig field type that _format_value writes. An unset
+# extent is written `auto` by the manifest, not by _format_value.
+_VALUES = {
+    "float": st.floats(allow_nan=False),
+    "float | None": st.floats(allow_nan=False),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "str": _TEXT,
+    "str | None": st.none() | _TEXT.filter(lambda text: text.lower() != "none"),
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _resolve(argv):
+    try:
+        return parse_config(argv)
+    except UsageError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("key", list(DEFAULTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_flag_and_config_line_share_one_parser(tmp_path_factory, key, data):
+    value = data.draw(_VALUES[_FIELD_TYPES[key]])
+    text = _format_value(value)
+    cfg = tmp_path_factory.getbasetemp() / f"{key}.cfg"
+    cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+    assert _read_config_file(str(cfg)) == {key: value}
+    flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+    flagged = ([flag] if value else []) if isinstance(value, bool) else [f"{flag}={text}"]
+    # the same RunConfig, or the same validation error
+    assert _resolve(["spectrum", *flagged]) == _resolve(["spectrum", "--config", str(cfg)])
+
+
+def test_config_out_none_is_a_directory(tmp_path, monkeypatch, capsys):
+    # `none` unsets only out_prefix, object_path and phase_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("out = none\n")
+    assert main(["spectrum", "--config", "run.cfg", "--l-max", "1", "--p-max", "1"]) == EXIT_OK
+    assert (tmp_path / "none" / "spectrum_spectrum.csv").exists()
+
+
+def test_readme_parameter_table_names_every_key():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("### Parameters and precedence", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("|")]
+    assert sorted(key for cell in rows for key in re.findall(r"`(\w+)`", cell)) == sorted(DEFAULTS)
 
 
 def test_unknown_config_key_named(tmp_path):
@@ -333,6 +393,16 @@ def test_discord_run(tmp_path, capsys):
         assert tuple(int(v) for v in row[1:4]) == expect[1:4] == (8, 8, 153)
         for k in (0, 4, 5, 6):
             assert float(row[k]) == pytest.approx(expect[k], rel=1e-15)
+
+
+@pytest.mark.parametrize("lo,hi", [("1e-3", "1e100"), ("1e-100", "1e-3")])
+def test_discord_run_at_extreme_coherence_widths(tmp_path, capsys, lo, hi):
+    # (x + 2/x)^4 overflows at both ends of the sweep; the D_inf column reads 0 there
+    assert main(["discord", "--sigma-g-min", lo, "--sigma-g-max", hi, "--samples", "3",
+                 "--l-max", "2", "--p-max", "2", "--out", str(tmp_path)]) == EXIT_OK
+    d_inf = [float(line.split(",")[-1]) for line in
+             (tmp_path / "discord_discord.csv").read_text().splitlines()[1:]]
+    assert d_inf[0 if lo == "1e-100" else -1] == 0.0
 
 
 def test_oracle_csd_run(tmp_path, capsys):

@@ -179,6 +179,12 @@ def test_discord_limit_values():
         1.0 / 81.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("sigma_g", [1e100, 1e-100, math.inf])
+def test_discord_limit_vanishes_at_extreme_coherence(sigma_g):
+    # (x + 2/x)^4 overflows at both ends of the finite range; its inverse underflows to 0
+    assert discord_limit(source_geometry(SIGMA_S, sigma_g)) == 0.0
+
+
 def test_discord_full_lattice_routes_agree():
     for sigma_g in (3e-4, 1.41e-3, 5e-3):
         geo = source_geometry(SIGMA_S, sigma_g)
