@@ -338,8 +338,7 @@ def _run_image(config: RunConfig) -> int:
     else:
         obj = clover_object(spec, config.clover_radius)
 
-    result = render_total(obj, geo, config.z1, config.z2, config.l_max, config.p_max, spec,
-                          config.wavelength)
+    result = render_total(obj, geo, config.z1, config.z2, config.l_max, config.p_max, config.wavelength)
     pure_inten, pure_phase = intensity_and_phase(result.pure_field)
 
     emitted = []
@@ -402,7 +401,7 @@ def _run_discord(config: RunConfig) -> int:
 def _run_oracle_csd(config: RunConfig) -> int:
     geo = source_geometry(config.sigma_s, config.sigma_g)
     spec = _window(config, BeamSpec(geo.matched_waist, config.wavelength))  # oracle_grid when automatic
-    tensor = csd_mode_decompose(geo, config.l_max, config.p_max, spec, config.wavelength)
+    tensor = csd_mode_decompose(geo, config.l_max, config.p_max, spec)
 
     modes = _mode_order(config.l_max, config.p_max)
     lines = ["l1,l2,p1,p2,re_f,im_f"]
@@ -457,7 +456,7 @@ def run_command(config: RunConfig) -> int:
         return EXIT_IO
     try:
         return _COMMANDS[config.command][0](config)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, ArithmeticError) as exc:  # ArithmeticError: e.g. w(z) overflows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -27,11 +27,12 @@ have a fixed sign under each mirror:
     cos(l phi)   (-1)^l       +1
     sin(l phi)   -(-1)^l      -1
 
-A sum over the window folds onto the quarter (_fold), and a raster built on
-the quarter unfolds onto the window (_unfold, _mirror_fill). For odd N the
-centre row and column are their own mirror images and are counted once.
-Decomposition and synthesis in spiral_imaging run on the quarter engine
-directly; iter_lg_rasters is its per-mode view.
+_mirror_slots is this table in code. A sum over the window folds onto the
+quarter (_fold), and quarter parts of each sign pair unfold onto the window
+(_unfold, its adjoint). For odd N the centre row and column are their own
+mirror images and are counted once. One step (_add_block) adds an |l|
+block's terms to their parts; render_pure_image and iter_lg_rasters, the
+engine's per-mode view, both synthesise through it.
 """
 
 from __future__ import annotations
@@ -316,22 +317,26 @@ def _unfold(n: int, parts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mirror_fill(n: int, q, x, y, xy) -> np.ndarray:
-    """(n, n) raster from (h, h) quarter blocks.
+def _add_block(acc: np.ndarray, shells: np.ndarray, harmonic: np.ndarray, inverse: np.ndarray,
+               l_abs: int, term: np.ndarray) -> None:
+    """Add one |l| block's terms into the (2, 2, h, h) quarter accumulator acc, indexed [sx, sy].
 
-    q holds the quarter itself; x, y and xy hold, at each quarter pixel, the
-    value at its x-, y- and xy-mirror image. For odd n the centre row and
-    column are their own images and come from q alone.
+    shells holds the (2, S) shell values A of the +|l| term and B of the -|l|
+    term, harmonic the quarter's exp(i |l| phi) and inverse its shell index
+    (see _lg_blocks); term is an (h, h) complex buffer, overwritten. At l = 0
+    the two rows are one term and only row 0 is added.
     """
-    h = q.shape[0]
-    m = n - h
-    flip = slice(None, h - 1, -1)  # N - 1 ... h, the images of 0 ... m - 1
-    out = np.empty((n, n), dtype=q.dtype)
-    out[:h, :h] = q
-    out[:h, flip] = x[:, :m]
-    out[flip, :h] = y[:m]
-    out[flip, flip] = xy[:m, :m]
-    return out
+    cos_slot, sin_slot = _mirror_slots(l_abs)
+    if l_abs:
+        # exp(i|l|phi) A + exp(-i|l|phi) B = cos (A + B) + sin i (A - B), with real factors.
+        np.take(shells[0] + shells[1], inverse, out=term, mode="clip")
+        term *= harmonic.real
+        acc[cos_slot] += term
+        np.take(1j * (shells[0] - shells[1]), inverse, out=term, mode="clip")
+        term *= harmonic.imag
+        acc[sin_slot] += term
+    else:
+        acc[cos_slot] += np.take(shells[0], inverse, out=term, mode="clip")
 
 
 def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int):
@@ -433,9 +438,9 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
     Per-mode view of _lg_blocks, the separable engine behind the imaging
     functions: radial factors are built once per |l| over the radius shells
     of the lattice that spans the requested modes, and that lattice's worst
-    measured norm decides the ModeClippedWarning. Each raster is built on the
-    quarter and mirror-filled onto the window; yielded rasters are freshly
-    allocated (N, N) arrays and safe to keep.
+    measured norm decides the ModeClippedWarning. Each raster goes through
+    render_pure_image's step (_add_block, then _unfold) with one shell row
+    set; yielded rasters are freshly allocated (N, N) arrays and safe to keep.
     """
     modes = [m if isinstance(m, ModeIndex) else ModeIndex(*m) for m in modes]
     if not modes:
@@ -443,19 +448,17 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
     l_max = max(abs(m.l) for m in modes)
     p_max = max(m.p for m in modes)
     _warn_if_clipped(beam, spec, z, l_max, p_max)
-    blocks = _lg_blocks(beam, spec, z, l_max, p_max)
-    for l_abs, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
+    h = (spec.side_points + 1) // 2
+    term = np.empty((h, h), dtype=complex)
+    for l_abs, (radial, harmonic, gouy, chirp, inverse) in enumerate(_lg_blocks(beam, spec, z, l_max, p_max)):
         for mode in modes:
             if abs(mode.l) != l_abs:
                 continue
-            shell = (radial[mode.p] * gouy[mode.p] * chirp)[inverse]
-            # The quarter and its xy-image carry exp(i l phi), the x- and
-            # y-images exp(-i l phi), the x- and xy-images times (-1)^l.
-            same, flipped = shell * harmonic, shell * np.conj(harmonic)
-            if mode.l < 0:
-                same, flipped = flipped, same
-            sign = -1 if l_abs % 2 else 1
-            yield mode, _mirror_fill(spec.side_points, same, sign * flipped, flipped, sign * same)
+            shells = np.zeros((2, radial.shape[1]), dtype=complex)  # row 0 for +|l|, row 1 for -|l|
+            shells[int(mode.l < 0)] = radial[mode.p] * gouy[mode.p] * chirp
+            acc = np.zeros((2, 2, h, h), dtype=complex)
+            _add_block(acc, shells, harmonic, inverse, l_abs, term)
+            yield mode, _unfold(spec.side_points, acc)
 
 
 def inner_product(a: ComplexField, b: ComplexField) -> complex:

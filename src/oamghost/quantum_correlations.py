@@ -164,7 +164,7 @@ class SeparabilityCertificate:
         return plus
 
 
-def separability_decomposition(state: ThermalState, psd_tol: float = 1e-10) -> SeparabilityCertificate:
+def separability_decomposition(state: ThermalState) -> SeparabilityCertificate:
     """Certificate splitting rho into explicitly separable pieces.
 
     Requires a positive noise budget R > 0; truncations with (sum P)^2 <= 1
@@ -199,7 +199,7 @@ def separability_decomposition(state: ThermalState, psd_tol: float = 1e-10) -> S
 
     for name, diagonal in (("rho_S_minus", minus), ("rho_S_plus", r * minus / (1.0 + r))):
         low = float(np.min(diagonal))
-        if low < -psd_tol:
+        if low < -1e-10:  # roundoff below zero is tolerated
             raise ValueError(f"{name} has negative diagonal entry {low:g}; construction bug")
     return SeparabilityCertificate(r, minus, v, residual)
 

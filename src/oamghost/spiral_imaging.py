@@ -14,11 +14,12 @@ mirror parities of exp(i l phi) (see field_grid): the terms cos(|l| phi)
 and sin(|l| phi) each have a fixed sign under x -> -x and y -> -y, set by
 their kind and by the parity of l. object_spectrum folds the object once
 into the four signed mirror sums of its quarter and contracts each term
-with the matching one; render_pure_image adds each term into the quarter
-accumulator of its sign pair and writes the four blocks of the window in
-one mirror step at the end; render_background's raster is even under both
-mirrors. Per-pixel products use the harmonic's real and imaginary parts,
-which keeps the temporaries real and few.
+with the matching one; render_pure_image adds each |l| block's terms into
+the quarter accumulators of their sign pairs with field_grid._add_block,
+the step iter_lg_rasters also runs, and unfolds the window once at the
+end; render_background's raster is even under both mirrors, so it pads its
+quarter out to the window. Per-pixel products use the harmonic's real and
+imaginary parts, which keeps the temporaries real and few.
 
 The radial contraction of each |l| block is one real matrix product: the
 real and imaginary parts of the +|l| and -|l| shell sums (object_spectrum)
@@ -49,9 +50,9 @@ from .field_grid import (
     BeamSpec,
     ComplexField,
     GridSpec,
+    _add_block,
     _fold,
     _lg_blocks,
-    _mirror_fill,
     _mirror_slots,
     _shells,
     _unfold,
@@ -161,11 +162,11 @@ def load_object(intensity, phase, spec: GridSpec) -> ComplexField:
     return ComplexField(spec, amplitude * np.exp(1j * theta))
 
 
-def clover_object(spec: GridSpec, radius: float, phase_depth: float = math.pi / 2) -> ComplexField:
+def clover_object(spec: GridSpec, radius: float) -> ComplexField:
     """Built-in four-lobed amplitude-and-phase test target.
 
     amplitude(r, phi) = exp(-(r/radius)^2) * |cos(2 phi)|
-    phase(r, phi)     = phase_depth * cos(2 phi)          (default depth pi/2)
+    phase(r, phi)     = (pi/2) * cos(2 phi)
 
     Lobes sit on the coordinate axes; opposite lobes share a phase sign while
     adjacent lobes are phase-reversed, so the target exercises intensity and
@@ -175,7 +176,7 @@ def clover_object(spec: GridSpec, radius: float, phase_depth: float = math.pi / 
         raise ValueError(f"radius must be positive, got {radius}")
     r, phi = spec.polar()
     c2 = np.cos(2.0 * phi)
-    samples = np.exp(-((r / radius) ** 2)) * np.abs(c2) * np.exp(1j * phase_depth * c2)
+    samples = np.exp(-((r / radius) ** 2)) * np.abs(c2) * np.exp(1j * (math.pi / 2) * c2)
     return ComplexField(spec, samples)
 
 
@@ -249,17 +250,7 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
         shells = np.empty((2, parts.shape[1]), dtype=complex)
         shells.real, shells.imag = parts[:2], parts[2:]
         shells *= chirp
-        cos_slot, sin_slot = _mirror_slots(l)
-        if l:
-            # exp(i|l|phi) A + exp(-i|l|phi) B = cos (A + B) + sin i (A - B), with real factors.
-            np.take(shells[0] + shells[1], inverse, out=term, mode="clip")
-            term *= harmonic.real
-            acc[cos_slot] += term
-            np.take(1j * (shells[0] - shells[1]), inverse, out=term, mode="clip")
-            term *= harmonic.imag
-            acc[sin_slot] += term
-        else:
-            acc[cos_slot] += np.take(shells[0], inverse, out=term, mode="clip")
+        _add_block(acc, shells, harmonic, inverse, l, term)
     return ComplexField._adopt(spec, _unfold(spec.side_points, acc))  # a fresh raster: no copy
 
 
@@ -292,7 +283,8 @@ def render_background(
     weight = sum P |A|^2 over the truncation; the raster is
     weight * sum_{l', p'} P_{l', p'} |LG_{l', p'}(rho, z2)|^2, azimuthally
     symmetric because every |LG|^2 is purely radial: one profile over the
-    radius shells, gathered once onto the quarter and mirrored. Only the
+    radius shells, gathered once onto the quarter and padded out to the
+    window by reflection. Only the
     weight depends on the object; the profile is cached (_background_profile)
     and each call scales and gathers it into a fresh raster.
     """
@@ -302,7 +294,8 @@ def render_background(
     profile = _background_profile(spectrum.amplitudes.tobytes(), spectrum.l_max, spectrum.p_max,
                                   coeffs.beam, spec, float(z2))
     quarter = (weight * profile)[_shells(spec)[1]]
-    return _mirror_fill(spec.side_points, quarter, quarter, quarter, quarter), weight
+    n, h = spec.side_points, quarter.shape[0]
+    return np.pad(quarter, (0, n - h), mode="symmetric" if n % 2 == 0 else "reflect"), weight
 
 
 def render_total(
@@ -312,23 +305,21 @@ def render_total(
     z2: float,
     l_max: int,
     p_max: int,
-    spec: GridSpec,
     wavelength: float = 632.8e-9,
 ) -> GhostImageResult:
     """Full two-term ghost image of the object.
 
     Decomposes the object at -z1 with the matched-waist beam, filters by the
     thermal spiral spectrum, and synthesizes the pure term and the background
-    at +z2. The object is decomposed on its own grid; the output rasters live
-    on `spec` (usually the same grid). The result also carries the object
-    and image mode tables.
+    at +z2, all on the object's grid. The result also carries the object and
+    image mode tables.
     """
     beam = BeamSpec(geometry.matched_waist, wavelength)
     spectrum = build_spectrum(geometry, l_max, p_max)
     coeffs = object_spectrum(obj, beam, z1, l_max, p_max)
     image = image_spectrum(coeffs, spectrum)
-    pure = render_pure_image(image, spec, z2)
-    background, weight = render_background(coeffs, spectrum, spec, z2)
+    pure = render_pure_image(image, obj.spec, z2)
+    background, weight = render_background(coeffs, spectrum, obj.spec, z2)
     total = background + pure.samples.real ** 2 + pure.samples.imag ** 2
     return GhostImageResult(pure, background, total, weight, coeffs, image)
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_grid import (BeamSpec, GridSpec, ModeIndex, _lg_blocks, _mirror_weight, _warn_if_clipped,
-                         default_grid)
+from .field_grid import (BeamSpec, GridSpec, ModeIndex, _lg_blocks, _mirror_slots, _mirror_weight,
+                         _warn_if_clipped, default_grid)
 
 __all__ = [
     "CsdTensor",
@@ -176,7 +176,7 @@ def csd_value(rho1, rho2, geometry: SourceGeometry):
     q2 = np.sum(r2 * r2, axis=-1)
     envelope = np.exp(-(q1 + q2) / (4.0 * geometry.sigma_s ** 2))
     dq = np.sum((r1 - r2) ** 2, axis=-1)
-    return envelope * np.exp(-dq / (2.0 * geometry.sigma_g ** 2))
+    return envelope * np.exp(-dq / (2.0 * geometry.sigma_g * geometry.sigma_g))  # inf, not OverflowError
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,6 @@ def csd_mode_decompose(
     l_max: int,
     p_max: int,
     spec: GridSpec,
-    wavelength: float = 632.8e-9,
     allow_large: bool = False,
 ) -> CsdTensor:
     """Project the cross-spectral density onto LG mode pairs by nested quadrature.
@@ -236,21 +235,17 @@ def csd_mode_decompose(
       only the (l_max + 1)(p_max + 1) modes with l >= 0 are rastered and
       blurred;
     - parities: the window, E and K are symmetric under both mirrors x -> -x
-      and y -> -y, so each part keeps a fixed parity on each axis, and its
-      partial projection the same one:
-
-          part   y-parity   x-parity
-          u      even       (-1)^l
-          v      odd        -(-1)^l
-
+      and y -> -y, so u (the cos(l phi) part) and v (the sin(l phi) part)
+      each keep the mirror signs of field_grid's table (_mirror_slots), and
+      so do their partial projections;
     - quarter window: every part is known from its ceil(N/2)^2 quarter
       (rows and columns 0 ... ceil(N/2) - 1), which is where the raster
       engine field_grid._lg_blocks works, so the rest of the window is
       never rastered. K factorizes over x and y into
-      one real Toeplitz kernel; folded onto the quarter for a part of parity
-      s on an axis, it is K_s[q, k] = K[q, k] + s K[q, mirror(k)], so the
-      blur of a quarter X is K_sy @ X @ K_sx^T, two real products per part
-      and |l| block. For odd N the centre column is its own mirror: it is
+      one real Toeplitz kernel; folded onto the quarter for a part of mirror
+      sign s on an axis, it is K_s[q, k] = K[q, k] + s K[q, mirror(k)], so
+      the blur of a quarter X is K_sy @ X @ K_sx^T, two real products per
+      part and |l| block. For odd N the centre column is its own mirror: it is
       halved in K_+ and vanishes in K_-;
     - projection: the products G_u u' and G_v v' are even in y (the mixed
       G_u v' and G_v u' are odd and vanish), and in x they have parity
@@ -296,19 +291,20 @@ def csd_mode_decompose(
     envelope = np.exp(-(x * x + y * y) / (4.0 * geometry.sigma_s ** 2))
     weight = _mirror_weight(n)  # each quarter pixel stands for itself and its mirror images
     offset = np.arange(n) * spec.pixel_pitch
-    kernel = np.exp(-((offset[:h, None] - offset[None, :]) ** 2) / (2.0 * geometry.sigma_g ** 2))
+    spread = 2.0 * geometry.sigma_g * geometry.sigma_g  # a product: inf (a kernel of 1), not OverflowError
+    kernel = np.exp(-((offset[:h, None] - offset[None, :]) ** 2) / spread)
     # Below sqrt(tiny), products with the integrand could be subnormal.
     kernel[kernel < math.sqrt(np.finfo(float).tiny)] = 0.0
     near, far = kernel[:, :h], kernel[:, ::-1][:, :h]  # K[q, k], K[q, mirror(k)]
-    k_plus, k_minus = near + far, near - far
+    kernels = np.stack([near + far, near - far])  # K_+ and K_-, indexed by the sign slot of _fold
     if n % 2:
-        k_plus[:, -1] *= 0.5
+        kernels[0, :, -1] *= 0.5
 
     # [part, l, p] holds the quarters of u (part 0) and v (part 1) of LG(l, p)
     # in rasters, and of G_u and G_v in partials, for l >= 0.
     rasters = np.empty((2, l_max + 1, np_, h, h))
     partials = np.empty_like(rasters)
-    beam = BeamSpec(geometry.matched_waist, wavelength)
+    beam = BeamSpec(geometry.matched_waist)  # at z = 0 the modes do not depend on the wavelength
     projection_weight = envelope * weight * spec.pixel_area
     _warn_if_clipped(beam, spec, 0.0, l_max, p_max)
     # At z = 0 the Gouy phase and the chirp are 1: LG(l, p) on the
@@ -318,9 +314,8 @@ def csd_mode_decompose(
         np.multiply(shells, harmonic.real, out=rasters[0, l])
         np.multiply(shells, harmonic.imag, out=rasters[1, l])
         integrand = rasters[:, l] * envelope
-        kx_u, kx_v = (k_plus, k_minus) if l % 2 == 0 else (k_minus, k_plus)
-        np.matmul(k_plus, integrand[0] @ kx_u.T, out=partials[0, l])
-        np.matmul(k_minus, integrand[1] @ kx_v.T, out=partials[1, l])
+        for part, (sx, sy) in enumerate(_mirror_slots(l)):
+            np.matmul(kernels[sy], integrand[part] @ kernels[sx].T, out=partials[part, l])
         partials[:, l] *= projection_weight
 
     # np.einsum, not a BLAS @: when the caller imported numpy before oamghost,

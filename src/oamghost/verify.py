@@ -39,14 +39,12 @@ from .spiral_imaging import (
     render_total,
 )
 from .thermal_source import (
-    SpiralSpectrum,
     build_spectrum,
     csd_mode_decompose,
     flat_spectrum,
     full_lattice_sums,
     oracle_grid,
     source_geometry,
-    spectrum_amplitude,
 )
 
 __all__ = [
@@ -305,7 +303,7 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
                         other_scale=clover_radius)
     half = 0.5 * spec.extent
     obj = clover_object(spec, clover_radius)
-    result = render_total(obj, geo, z1, z2, l_max, p_max, spec, wavelength)
+    result = render_total(obj, geo, z1, z2, l_max, p_max, wavelength)
     coeffs = result.object_coefficients
 
     # (a) decomposition identity and mode-capture sanity.

@@ -317,7 +317,7 @@ def test_image_run_emits_file_set(tmp_path, capsys):
     spec = default_grid(BeamSpec(geo.matched_waist, DEFAULTS["wavelength"]), 2, 1, 64,
                         z=max(DEFAULTS["z1"], DEFAULTS["z2"]), other_scale=DEFAULTS["clover_radius"])
     result = render_total(clover_object(spec, DEFAULTS["clover_radius"]), geo, DEFAULTS["z1"],
-                          DEFAULTS["z2"], 2, 1, spec, DEFAULTS["wavelength"])
+                          DEFAULTS["z2"], 2, 1, DEFAULTS["wavelength"])
     for column, table in ((2, result.object_coefficients), (4, result.image_coefficients)):
         scale = np.max(np.abs(table.values))
         for line in lines[1:]:
@@ -403,6 +403,21 @@ def test_discord_run_at_extreme_coherence_widths(tmp_path, capsys, lo, hi):
     d_inf = [float(line.split(",")[-1]) for line in
              (tmp_path / "discord_discord.csv").read_text().splitlines()[1:]]
     assert d_inf[0 if lo == "1e-100" else -1] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::oamghost.field_grid.ModeClippedWarning")
+@pytest.mark.parametrize("argv,code", [
+    (["oracle-csd", "--sigma-g", "1e200"], EXIT_OK),  # sigma_g^2 is inf: the coherent-limit kernel
+    (["image", "--z1", "1e300"], EXIT_USAGE),  # w(z) overflows
+    (["image", "--wavelength", "1e300"], EXIT_USAGE),
+    (["image", "--sigma-s", "1e300"], EXIT_USAGE),
+    (["image", "--sigma-s", "1e-300"], EXIT_USAGE),  # Rayleigh range 0
+    (["image", "--extent", "1e-300", "--grid", "32"], EXIT_USAGE),  # pixel area 0
+])
+def test_extreme_finite_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    if code == EXIT_USAGE:
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_oracle_csd_run(tmp_path, capsys):

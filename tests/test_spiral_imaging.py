@@ -262,7 +262,7 @@ def test_render_pure_image_samples_are_read_only():
 def test_render_total_two_term_identity():
     spec = small_grid(96)
     obj = clover_object(spec, 8e-4)
-    result = render_total(obj, GEO, Z1, Z2, 3, 3, spec)
+    result = render_total(obj, GEO, Z1, Z2, 3, 3)
     expect = result.background + np.abs(result.pure_field.samples) ** 2
     np.testing.assert_allclose(result.total_intensity, expect, atol=1e-18)
     assert result.background_weight > 0
@@ -271,7 +271,7 @@ def test_render_total_two_term_identity():
 def test_render_total_matches_explicit_pipeline():
     spec = small_grid(96)
     obj = clover_object(spec, 8e-4)
-    result = render_total(obj, GEO, Z1, Z2, 2, 2, spec)
+    result = render_total(obj, GEO, Z1, Z2, 2, 2)
     coeffs = object_spectrum(obj, BEAM, Z1, 2, 2)
     spectrum = build_spectrum(GEO, 2, 2)
     pure = render_pure_image(image_spectrum(coeffs, spectrum), spec, Z2)
@@ -289,8 +289,8 @@ def test_render_total_linearity_in_object():
     obj = clover_object(spec, 8e-4)
     c = 0.6 + 0.8j
     scaled = ComplexField(spec, c * obj.samples)
-    base = render_total(obj, GEO, Z1, Z2, 2, 2, spec)
-    got = render_total(scaled, GEO, Z1, Z2, 2, 2, spec)
+    base = render_total(obj, GEO, Z1, Z2, 2, 2)
+    got = render_total(scaled, GEO, Z1, Z2, 2, 2)
     # pure term picks up conj(c), both intensities scale by |c|^2 = 1
     np.testing.assert_allclose(got.pure_field.samples, np.conj(c) * base.pure_field.samples,
                                atol=1e-14)
@@ -304,7 +304,7 @@ def test_render_total_coherent_limit():
     beam = BeamSpec(geo.matched_waist)
     spec = default_grid(beam, l_max=2, p_max=2, side_points=96)
     obj = clover_object(spec, 8e-4)
-    result = render_total(obj, geo, Z1, Z2, 2, 2, spec)
+    result = render_total(obj, geo, Z1, Z2, 2, 2)
     a00 = object_spectrum(obj, beam, Z1, 2, 2).value(0, 0)
     mode = sample(ModeIndex(0, 0), spec, Z2, beam).samples
     np.testing.assert_allclose(result.pure_field.samples, np.conj(a00) * mode, atol=1e-15)
