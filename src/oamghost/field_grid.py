@@ -321,10 +321,8 @@ def _add_block(acc: np.ndarray, shells: np.ndarray, harmonic: np.ndarray, invers
                l_abs: int, term: np.ndarray) -> None:
     """Add one |l| block's terms into the (2, 2, h, h) quarter accumulator acc, indexed [sx, sy].
 
-    shells holds the (2, S) shell values A of the +|l| term and B of the -|l|
-    term, harmonic the quarter's exp(i |l| phi) and inverse its shell index
-    (see _lg_blocks); term is an (h, h) complex buffer, overwritten. At l = 0
-    the two rows are one term and only row 0 is added.
+    shells holds the (2, S) shell values A of the +|l| and B of the -|l| term (at l = 0 one term,
+    row 0); harmonic and inverse are _lg_blocks'; term is an (h, h) buffer, overwritten.
     """
     cos_slot, sin_slot = _mirror_slots(l_abs)
     if l_abs:

@@ -294,8 +294,9 @@ def render_background(
     profile = _background_profile(spectrum.amplitudes.tobytes(), spectrum.l_max, spectrum.p_max,
                                   coeffs.beam, spec, float(z2))
     quarter = (weight * profile)[_shells(spec)[1]]
-    n, h = spec.side_points, quarter.shape[0]
-    return np.pad(quarter, (0, n - h), mode="symmetric" if n % 2 == 0 else "reflect"), weight
+    flip = slice(spec.side_points - quarter.shape[0] - 1, None, -1)  # m - 1 ... 0, the images of h ... N - 1
+    half = np.concatenate([quarter, quarter[:, flip]], axis=1)
+    return np.concatenate([half, half[flip]]), weight
 
 
 def render_total(
