@@ -330,7 +330,8 @@ def _run_spectrum(config: RunConfig) -> int:
 def _run_image(config: RunConfig) -> int:
     geo = source_geometry(config.sigma_s, config.sigma_g)
     beam = BeamSpec(geo.matched_waist, config.wavelength)
-    spec = _window(config, beam, max(abs(config.z1), abs(config.z2)), config.clover_radius)
+    z_far = max(abs(config.z1), abs(config.z2))
+    spec = _window(config, beam, z_far, config.clover_radius)
     if config.object_path is not None:
         inten = read_pgm(config.object_path)
         phase = read_pgm(config.phase_path) if config.phase_path is not None else None
@@ -338,7 +339,19 @@ def _run_image(config: RunConfig) -> int:
     else:
         obj = clover_object(spec, config.clover_radius)
 
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing pixel area is refused below
+        obj_power = float(np.sum(np.abs(obj.samples) ** 2) * np.square(spec.pixel_pitch))
+    if not (obj_power > 0.0 and math.isfinite(obj_power)):
+        cause = ("change extent" if config.extent is not None else
+                 f"the automatic window follows the beam width {beam.width(z_far):.3g} m, set by sigma_s,"
+                 " sigma_g and wavelength; change sigma_g or set extent")
+        raise ValueError(f"object power on the {spec.side_points}^2 window of {spec.extent:.3g} m is"
+                         f" {obj_power:g}, not positive and finite: {cause}")
     result = render_total(obj, geo, config.z1, config.z2, config.l_max, config.p_max, config.wavelength)
+    coeffs, image = result.object_coefficients, result.image_coefficients
+    capture = coeffs.power() / obj_power
+    defect, mode = max(_worst_norm_defect(beam, spec, z, config.l_max, config.p_max)
+                       for z in (-config.z1, config.z2))  # read from the passes' cache
     pure_inten, pure_phase = intensity_and_phase(result.pure_field)
 
     emitted = []
@@ -359,7 +372,6 @@ def _run_image(config: RunConfig) -> int:
     emitted.append(os.path.basename(sidecar))
 
     cpath = _out_path(config, "spectrum.csv")
-    coeffs, image = result.object_coefficients, result.image_coefficients
     rows = ["l,p,re_A,im_A,re_B,im_B"]
     for l, p in _mode_order(config.l_max, config.p_max):
         a, b = coeffs.value(l, p), image.value(l, p)
@@ -371,11 +383,8 @@ def _run_image(config: RunConfig) -> int:
         write_field(fpath, result.pure_field)
         emitted.append(os.path.basename(fpath))
 
-    obj_power = float(np.sum(np.abs(obj.samples) ** 2)) * spec.pixel_area
     print(f"grid: {spec.side_points} points over {spec.extent:.6e} m")
-    print(f"object power {obj_power:.6e}, captured fraction {coeffs.power() / obj_power:.4f}")
-    defect, mode = max(_worst_norm_defect(beam, spec, z, config.l_max, config.p_max)
-                       for z in (-config.z1, config.z2))  # read from the passes' cache
+    print(f"object power {obj_power:.6e}, captured fraction {capture:.4f}")
     print(f"worst mode norm on the window: |norm^2 - 1| = {defect:.3g} at {mode}")
     print(f"background weight = {result.background_weight:.6e}")
     print(f"wrote {len(emitted)} files under {config.out!r} with prefix {config.out_prefix!r}")

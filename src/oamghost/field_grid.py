@@ -5,17 +5,31 @@ at pixel centers, with row 0 at the top of the window (largest y). Discrete
 inner products use the midpoint rule, so a mode that fits inside the window has
 unit discrete norm.
 
-There are two LG evaluators. lg_amplitude evaluates one mode at arbitrary
-polar points and serves as the independent pointwise oracle. _lg_blocks is
-the separable raster engine: an LG mode factors as radial(|l|, p) x
-exp(i l phi) x curvature chirp x Gouy phase, so one radial stack per |l|
-serves every p and both signs of l. Everything but exp(i l phi) depends on
-the pixel radius alone, and on a centred square grid the radius takes few
-values: r^2 = key (pitch/2)^2 with the integer key (2i-N+1)^2 + (2j-N+1)^2.
-The engine builds the radial stack and the chirp over these shells and
-gathers them back through a per-pixel shell index (_shells, cached per grid).
+There are three LG evaluators:
 
-It does so on one quarter of the window only, the ceil(N/2)^2 block of rows
+- lg_amplitude evaluates one mode at arbitrary polar points and serves as
+  the independent pointwise oracle;
+- _lg_blocks, the radial engine, serves the mode norms (_mode_norms), the
+  background profile, the CSD quadrature and iter_lg_rasters;
+- the HG tables (_lg_to_hg, _hg_tables) serve the two coherent passes,
+  object_spectrum and render_pure_image.
+
+_lg_blocks uses that an LG mode factors as radial(|l|, p) x exp(i l phi) x
+curvature chirp x Gouy phase, so one radial stack per |l| serves every p
+and both signs of l. Everything but exp(i l phi) depends on the pixel
+radius alone, and on a centred square grid the radius takes few values:
+r^2 = key (pitch/2)^2 with the integer key (2i-N+1)^2 + (2j-N+1)^2. The
+engine builds the radial stack and the chirp over these shells and gathers
+them back through a per-pixel shell index (_shells, cached per grid).
+
+The HG tables use that an LG mode of order N = 2p + |l| is a fixed unitary
+mix of the Hermite-Gaussian products h_{N-k}(x) h_k(y), whose chirp factors
+into x and y and whose Gouy phase depends on N alone. So a sum of modes is
+a small (K + 1)^2 table of HG weights, K = 2 p_max + l_max, contracted with
+one 1-D table h_m(x) per axis: real matrix products, pointwise exact on the
+same pixels.
+
+Both work on one quarter of the window only, the ceil(N/2)^2 block of rows
 and columns 0 ... ceil(N/2) - 1 (x <= 0, y >= 0), which already holds every
 shell: 20,604 shells cover the 65,536 quarter pixels of a 512^2 window. The
 other three quarters are mirror images. Mirroring x -> -x maps exp(i l phi)
@@ -27,12 +41,11 @@ have a fixed sign under each mirror:
     cos(l phi)   (-1)^l       +1
     sin(l phi)   -(-1)^l      -1
 
-_mirror_slots is this table in code. A sum over the window folds onto the
-quarter (_fold), and quarter parts of each sign pair unfold onto the window
-(_unfold, its adjoint). For odd N the centre row and column are their own
-mirror images and are counted once. One step (_add_block) adds an |l|
-block's terms to their parts; render_pure_image and iter_lg_rasters, the
-engine's per-mode view, both synthesise through it.
+_mirror_slots is this table in code. For the HG products the signs are
+(-1)^m under x -> -x and (-1)^n under y -> -y, since h_m(-x) = (-1)^m h_m(x).
+A sum over the window folds onto the quarter (_fold), and quarter parts of
+each sign pair unfold onto the window (_unfold, its adjoint). For odd N the
+centre row and column are their own mirror images and are counted once.
 """
 
 from __future__ import annotations
@@ -293,18 +306,19 @@ def _mirror_slots(l_abs: int):
     return (l_abs % 2, 0), (1 - l_abs % 2, 1)
 
 
-def _unfold(n: int, parts: np.ndarray) -> np.ndarray:
+def _unfold(n: int, parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(n, n) raster from (2, 2, h, h) quarter parts indexed [sx, sy], the adjoint of _fold.
 
     Each part holds terms of mirror signs sx and sy; the quarter gets their
     sum and each mirror image of a quarter pixel their signed sum. The sums
     are taken in place, in parts and in the raster's own quarter, so parts
-    is overwritten and the raster is the only array allocated.
+    is overwritten. The raster is out if given, else the only array allocated.
     """
     h = parts.shape[-1]
     m = n - h
     flip = slice(None, h - 1, -1)  # N - 1 ... h, the images of 0 ... m - 1
-    out = np.empty((n, n), dtype=parts.dtype)
+    if out is None:
+        out = np.empty((n, n), dtype=parts.dtype)
     (pp, pm), (mp, mm) = parts  # views of the parts of signs [sx, sy] = ++, +-, -+, --
     even = np.add(pp, pm, out=out[:h, :h])  # even under x -> -x
     even_y = np.subtract(pp, pm, out=pp)  # the same at the y-images
@@ -315,26 +329,6 @@ def _unfold(n: int, parts: np.ndarray) -> np.ndarray:
     np.add(even_y[:m], odd_y[:m], out=out[flip, :h])
     np.subtract(even_y[:m, :m], odd_y[:m, :m], out=out[flip, flip])
     return out
-
-
-def _add_block(acc: np.ndarray, shells: np.ndarray, harmonic: np.ndarray, inverse: np.ndarray,
-               l_abs: int, term: np.ndarray) -> None:
-    """Add one |l| block's terms into the (2, 2, h, h) quarter accumulator acc, indexed [sx, sy].
-
-    shells holds the (2, S) shell values A of the +|l| and B of the -|l| term (at l = 0 one term,
-    row 0); harmonic and inverse are _lg_blocks'; term is an (h, h) buffer, overwritten.
-    """
-    cos_slot, sin_slot = _mirror_slots(l_abs)
-    if l_abs:
-        # exp(i|l|phi) A + exp(-i|l|phi) B = cos (A + B) + sin i (A - B), with real factors.
-        np.take(shells[0] + shells[1], inverse, out=term, mode="clip")
-        term *= harmonic.real
-        acc[cos_slot] += term
-        np.take(1j * (shells[0] - shells[1]), inverse, out=term, mode="clip")
-        term *= harmonic.imag
-        acc[sin_slot] += term
-    else:
-        acc[cos_slot] += np.take(shells[0], inverse, out=term, mode="clip")
 
 
 def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int):
@@ -391,6 +385,87 @@ def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int)
         yield radial, harmonic, np.exp(-1j * (orders + a) * psi), chirp, inverse
 
 
+@functools.lru_cache(maxsize=8)
+def _lg_to_hg(l_max: int, p_max: int):
+    """Read-only sparse map from the LG modes of a (l_max, p_max) table to HG products.
+
+    At the waist LG(l, p) = sum_k i^k d_k h_{N-k}(x) h_k(y) over the order N = 2p + |l|, with
+    real d_k: L_z's eigenvector in the order-N HG block (Beijersbergen et al., Opt. Commun. 96,
+    123 (1993)), a Krawtchouk function. With n+ = p + max(l, 0) and n- = N - n+, it starts at
+    d_0 = (-1)^p sqrt(C(N, n+) / 2^N) and runs
+    sqrt((N - k)(k + 1)) d_{k+1} = l d_k - sqrt(k (N - k + 1)) d_{k-1}
+    forward up to k = N // 2 only: past the middle the recurrence is unstable, and the rest comes
+    from d_{N-k} = (-1)^{n-} d_k. d_0 from lgamma is off by about |log C(N, n+)| eps, so each row
+    is then rescaled to unit norm: against 50-digit values the d_k are within 4.5e-16 for N <= 120.
+
+    Returns (mode, flat, weight, order, K). mode, flat and weight hold one entry per (mode, k):
+    mode the row-major index into a (2 l_max + 1, p_max + 1) table, flat = k (K + 1) + N - k the
+    row-major index into a (K + 1, K + 1) table indexed [n, m] by the HG orders (m, n) = (N - k, k),
+    and weight = (-1)^(k // 2) d_k, so that i^k d_k = i^(k % 2) weight. order is the
+    (2 l_max + 1, p_max + 1) table of N, and K = 2 p_max + l_max the largest.
+    """
+    big_k = 2 * p_max + l_max
+    # int32 indices halve the cached entries: about (2 l_max + 1)(p_max + 1)(K / 2 + 1) of them.
+    l, p = (a.ravel() for a in np.meshgrid(np.arange(-l_max, l_max + 1, dtype=np.int32),
+                                           np.arange(p_max + 1, dtype=np.int32), indexing="ij"))
+    order = 2 * p + np.abs(l)
+    n_plus = p + np.maximum(l, 0)
+    half = order // 2
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(big_k + 1)])
+    d = np.zeros((l.size, big_k // 2 + 1))  # d_k up to each row's middle N // 2
+    d[:, 0] = np.where(p % 2, -1.0, 1.0) * np.exp(
+        0.5 * (log_fact[order] - log_fact[n_plus] - log_fact[order - n_plus] - order * math.log(2.0)))
+    for k in range(big_k // 2):  # all orders at once; rows whose middle is passed stay 0
+        step = l * d[:, k]
+        if k:
+            step -= np.sqrt(np.maximum(k * (order - k + 1.0), 0.0)) * d[:, k - 1]
+        d[:, k + 1] = np.where(k < half, step / np.sqrt(np.maximum((order - k) * (k + 1.0), 1.0)), 0.0)
+    # Unit norm over both halves: the sum of squares up to the middle, doubled, less a counted-twice middle.
+    middle = d[np.arange(l.size), half] ** 2
+    d /= np.sqrt(2.0 * np.einsum("mk,mk->m", d, d) - np.where(order % 2, 0.0, middle))[:, None]
+    counts = order + 1  # entries k = 0 ... N of each mode, one after another
+    mode = np.repeat(np.arange(order.size, dtype=np.int32), counts)
+    k = np.arange(mode.size, dtype=np.int32) - np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
+    n_order = order[mode]
+    upper = k > half[mode]  # past the middle d_k = (-1)^{n-} d_{N-k}
+    weight = d.ravel()[mode * d.shape[1] + np.where(upper, n_order - k, k)]
+    weight[(k // 2 + upper * (n_order - n_plus[mode])) % 2 == 1] *= -1.0  # and (-1)^(k // 2) for weight
+    flat = k * (big_k + 1) + n_order - k
+    order = order.reshape(2 * l_max + 1, p_max + 1)
+    for arr in (mode, flat, weight, order):
+        arr.flags.writeable = False
+    return mode, flat, weight, order, big_k
+
+
+@functools.lru_cache(maxsize=16)
+def _hg_tables(beam: BeamSpec, spec: GridSpec, z: float, big_k: int):
+    """Read-only 1-D HG tables of the window's quarter axis x at plane z: (table, chirp, gouy).
+
+    - table: the real (K + 1, h) h_m(x) = (2/w^2)^(1/4) psi_m(sqrt(2) x / w) at the quarter's
+      columns, with the Hermite functions psi_m from their normalised three-term recurrence. The
+      quarter's rows sit at y = -x, where h_n(y) = (-1)^n h_n(x);
+    - chirp: the (h,) curvature phase exp(i k x^2 / 2R(z)): the quarter's is outer(chirp, chirp);
+    - gouy: the (K + 1,) phases exp(-i (N + 1) arctan(z/zR)) of the orders N = 0 ... K.
+
+    Cached: a sweep renders at a few planes over and over.
+    """
+    w = beam.width(z)
+    zr = beam.rayleigh_range
+    x = spec.axis()[: (spec.side_points + 1) // 2]
+    t = math.sqrt(2.0) / w * x
+    table = np.empty((big_k + 1, x.size))
+    table[0] = (2.0 / (math.pi * w * w)) ** 0.25 * np.exp(-0.5 * t * t)
+    for m in range(big_k):
+        nxt = np.multiply(math.sqrt(2.0 / (m + 1)) * t, table[m], out=table[m + 1])
+        if m:
+            nxt -= math.sqrt(m / (m + 1.0)) * table[m - 1]
+    chirp = np.exp(1j * (beam.wavenumber * z / (2.0 * (z * z + zr * zr))) * x * x)
+    gouy = np.exp(-1j * (np.arange(big_k + 1) + 1) * math.atan2(z, zr))
+    for arr in (table, chirp, gouy):
+        arr.flags.writeable = False
+    return table, chirp, gouy
+
+
 _NORM_TOLERANCE = 1e-3  # largest |norm^2 - 1| of a sampled mode; mode-math's orthonormality tolerance
 
 
@@ -433,12 +508,12 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
 
     Within one |l| the modes come in the order they were requested.
 
-    Per-mode view of _lg_blocks, the separable engine behind the imaging
-    functions: radial factors are built once per |l| over the radius shells
-    of the lattice that spans the requested modes, and that lattice's worst
-    measured norm decides the ModeClippedWarning. Each raster goes through
-    render_pure_image's step (_add_block, then _unfold) with one shell row
-    set; yielded rasters are freshly allocated (N, N) arrays and safe to keep.
+    Per-mode view of _lg_blocks, the radial engine: radial factors are built
+    once per |l| over the radius shells of the lattice that spans the
+    requested modes, and that lattice's worst measured norm decides the
+    ModeClippedWarning. Each raster's cos and sin parts go into the slots of
+    their mirror signs and through _unfold; yielded rasters are freshly
+    allocated (N, N) arrays and safe to keep.
     """
     modes = [m if isinstance(m, ModeIndex) else ModeIndex(*m) for m in modes]
     if not modes:
@@ -446,17 +521,19 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
     l_max = max(abs(m.l) for m in modes)
     p_max = max(m.p for m in modes)
     _warn_if_clipped(beam, spec, z, l_max, p_max)
-    h = (spec.side_points + 1) // 2
-    term = np.empty((h, h), dtype=complex)
+    n = spec.side_points
     for l_abs, (radial, harmonic, gouy, chirp, inverse) in enumerate(_lg_blocks(beam, spec, z, l_max, p_max)):
+        cos_slot, sin_slot = _mirror_slots(l_abs)
         for mode in modes:
             if abs(mode.l) != l_abs:
                 continue
-            shells = np.zeros((2, radial.shape[1]), dtype=complex)  # row 0 for +|l|, row 1 for -|l|
-            shells[int(mode.l < 0)] = radial[mode.p] * gouy[mode.p] * chirp
-            acc = np.zeros((2, 2, h, h), dtype=complex)
-            _add_block(acc, shells, harmonic, inverse, l_abs, term)
-            yield mode, _unfold(spec.side_points, acc)
+            # exp(+-i|l|phi) S = cos(|l|phi) S +- i sin(|l|phi) S, each part in the slot of its mirror signs.
+            shell = (radial[mode.p] * gouy[mode.p] * chirp)[inverse]
+            acc = np.zeros((2, 2) + shell.shape, dtype=complex)
+            acc[cos_slot] = shell * harmonic.real
+            if l_abs:
+                acc[sin_slot] = shell * (1j if mode.l > 0 else -1j) * harmonic.imag
+            yield mode, _unfold(n, acc)
 
 
 def inner_product(a: ComplexField, b: ComplexField) -> complex:

@@ -6,36 +6,34 @@ and the image plane at +z2 receives a coherent "pure" term on top of an
 object-weighted incoherent background. The total intensity is
 background + |pure|^2 by construction.
 
-All three passes run on the quarter engine of field_grid._lg_blocks: per
-|l| they touch only the ceil(N/2)^2 quarter of the window, to fold a pixel
-into its radius shell (np.bincount) or to gather its shell's value back,
-times the azimuthal harmonic. The rest of the window follows from the
-mirror parities of exp(i l phi) (see field_grid): the terms cos(|l| phi)
-and sin(|l| phi) each have a fixed sign under x -> -x and y -> -y, set by
-their kind and by the parity of l. object_spectrum folds the object once
-into the four signed mirror sums of its quarter and contracts each term
-with the matching one; render_pure_image adds each |l| block's terms into
-the quarter accumulators of their sign pairs with field_grid._add_block,
-the step iter_lg_rasters also runs, and unfolds the window once at the
-end; render_background's raster is even under both mirrors, so it pads its
-quarter out to the window. Per-pixel products use the harmonic's real and
-imaginary parts, which keeps the temporaries real and few.
-
-The radial contraction of each |l| block is one real matrix product: the
-real and imaginary parts of the +|l| and -|l| shell sums (object_spectrum)
-or mode weights (render_pure_image) are stacked into four rows and
-multiplied with the (p_max + 1, S) radial stack over the S radius shells.
-On a 2-vCPU x86-64 host, at 256^2 with p_max = 9, the product took 13 us
-against 106 us for the two np.einsum calls it replaces.
+The two coherent passes run on Hermite-Gaussian tables (field_grid). An
+LG mode of order N = 2p + |l| is sum_k i^k d_k h_{N-k}(x) h_k(y) times the
+chirp exp(i k (x^2 + y^2) / 2R) and the Gouy phase exp(-i (N + 1) psi), so
+both passes separate: object_spectrum dechirps the object, folds it onto
+its quarter (field_grid._fold) and takes its HG moments by 1-D table
+products; render_pure_image scatters the mode weights into a table of HG
+weights, expands it by 1-D table products on the quarter, chirps it and
+unfolds it onto the window once (field_grid._unfold). Since
+h_m(-x) = (-1)^m h_m(x), each mirror-sign part [sx, sy] of the quarter
+couples only the orders m = sx and n = sy (mod 2): a pass is four pairs of
+small real matrix products. The chirp is applied elementwise, so every
+product is real. On a 2-vCPU x86-64 host a plane-sweep job (256^2,
+l_max = 5, p_max = 9) takes about 5 ms against 15 ms with the radial
+engine's per-|l| shell loops.
 
 A CLI process loads OpenBLAS with one thread (see the package docstring).
-In a caller that imported numpy first, OpenBLAS splits these products over
-its pool once m n k = 4 (p_max + 1) S exceeds 262144 (README, "Threads").
+In a caller that imported numpy first, OpenBLAS splits a product over its
+pool once m n k exceeds 262144. The largest product of a pass is
+(h, h) x (h, K // 2 + 1) for the quarter side h = ceil(N/2) and
+K = 2 p_max + l_max: 196608 at 256^2 with (5, 9), 97216 at 112^2 with
+(20, 20), but 2031616 at 512^2 with (20, 20) (README, "Threads").
 
-Only render_background's weight sum P |A|^2 depends on the object. Its
-profile sum P |LG|^2 over the radius shells depends on the spectrum, beam,
-grid and plane alone and is cached (_background_profile), so a sweep that
-renders many objects at a few planes runs its engine pass once per plane.
+render_background stays on the radial engine (field_grid._lg_blocks): its
+raster is even under both mirrors, so it pads its quarter out to the
+window. Only its weight sum P |A|^2 depends on the object. Its profile sum
+P |LG|^2 over the radius shells depends on the spectrum, beam, grid and
+plane alone and is cached (_background_profile), so a sweep that renders
+many objects at a few planes runs its engine pass once per plane.
 """
 
 from __future__ import annotations
@@ -50,10 +48,10 @@ from .field_grid import (
     BeamSpec,
     ComplexField,
     GridSpec,
-    _add_block,
     _fold,
+    _hg_tables,
     _lg_blocks,
-    _mirror_slots,
+    _lg_to_hg,
     _shells,
     _unfold,
     _warn_if_clipped,
@@ -191,34 +189,31 @@ def _check_truncation(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> Non
 def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_max: int) -> ModeCoefficients:
     """Overlap coefficients of the object against LG modes at plane -z1.
 
-    The object is folded once into the four signed mirror sums of its
-    quarter. Per |l|, the cos(|l| phi) and sin(|l| phi) terms are folded
-    into radius shells against the mirror sum of their signs, and one real
-    product over the shells gives the +|l| and -|l| rows.
+    The dechirped object is folded once into the four signed mirror sums of
+    its quarter; two real products per sum with the 1-D HG table give its HG
+    moments, and each mode's coefficient is its d_k-weighted sum of the
+    moments of its order.
     """
     if l_max < 0 or p_max < 0:
         raise ValueError("l_max and p_max must be nonnegative")
     plane = -float(z1)
-    _warn_if_clipped(beam, obj.spec, plane, l_max, p_max)
-    values = np.zeros((2 * l_max + 1, p_max + 1), dtype=complex)
-    folded = _fold(obj.samples * obj.spec.pixel_area)
+    spec = obj.spec
+    _warn_if_clipped(beam, spec, plane, l_max, p_max)
+    mode, flat, weight, order, big_k = _lg_to_hg(l_max, p_max)
+    table, chirp, gouy = _hg_tables(beam, spec, plane, big_k)
+    folded = _fold(obj.samples)
+    folded *= np.outer(np.conj(chirp) * spec.pixel_area, np.conj(chirp))
     re, im = folded.real.copy(), folded.imag.copy()
-    blocks = _lg_blocks(beam, obj.spec, plane, l_max, p_max)
-    for l, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
-        # Shell sums of target * exp(-i|l|phi) (row +|l|) and target * exp(+i|l|phi)
-        # (row -|l|), from four real products: a, c with cos, and b, d with sin.
-        index = inverse.ravel()
-        n_shells = radial.shape[1]
-        cos_slot, sin_slot = _mirror_slots(l)
-        a, c = (np.bincount(index, (part[cos_slot] * harmonic.real).ravel(), n_shells)
-                for part in (re, im))
-        b, d = (np.bincount(index, (part[sin_slot] * harmonic.imag).ravel(), n_shells)
-                for part in (im, re))
-        shells = np.stack([(a + b) + 1j * (c - d), (a - b) + 1j * (c + d)]) * np.conj(chirp)
-        # Rows: re +|l|, re -|l|, im +|l|, im -|l|.
-        parts = np.concatenate([shells.real, shells.imag]) @ radial.T
-        values[l_max + l] = np.conj(gouy) * (parts[0] + 1j * parts[2])
-        values[l_max - l] = np.conj(gouy) * (parts[1] + 1j * parts[3])
+    # moments[part, n, m]: real and imaginary parts of the quarter sums of h_m(x) h_n(-y) times the
+    # folded, dechirped object; the quarter's rows sit at y = -x.
+    moments = np.empty((2, big_k + 1, big_k + 1))
+    for a in (0, 1):
+        for b in (0, 1):
+            moments[:, b::2, a::2] = [table[b::2] @ (part[a, b] @ table[a::2].T) for part in (re, im)]
+    # Odd n: times (-1)^n for the rows and conj(i^(n % 2)), which weight leaves out: i (re + i im).
+    moments[:, 1::2] = np.stack([-moments[1, 1::2], moments[0, 1::2]])
+    sums = [np.bincount(mode, weight * part.ravel()[flat], order.size) for part in moments]
+    values = (sums[0] + 1j * sums[1]).reshape(order.shape) * np.conj(gouy[order])
     return ModeCoefficients(l_max, p_max, values, plane, beam)
 
 
@@ -235,23 +230,34 @@ def image_spectrum(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> ModeCo
 
 
 def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> ComplexField:
-    """Coherent sum of coefficient-weighted LG modes at plane +z2."""
-    l_max = coeffs.l_max
-    _warn_if_clipped(coeffs.beam, spec, float(z2), l_max, coeffs.p_max)
-    # Quarter accumulators indexed [sx, sy] by the terms' mirror signs (see _fold).
-    h = (spec.side_points + 1) // 2
-    acc = np.zeros((2, 2, h, h), dtype=complex)
-    term = np.empty((h, h), dtype=complex)  # one gathered term, reused for every |l|
-    blocks = _lg_blocks(coeffs.beam, spec, float(z2), l_max, coeffs.p_max)
-    for l, (radial, harmonic, gouy, chirp, inverse) in enumerate(blocks):
-        weights = np.stack([coeffs.values[l_max + l], coeffs.values[l_max - l]]) * gouy
-        # Rows: re +|l|, re -|l|, im +|l|, im -|l|.
-        parts = np.concatenate([weights.real, weights.imag]) @ radial
-        shells = np.empty((2, parts.shape[1]), dtype=complex)
-        shells.real, shells.imag = parts[:2], parts[2:]
-        shells *= chirp
-        _add_block(acc, shells, harmonic, inverse, l, term)
-    return ComplexField._adopt(spec, _unfold(spec.side_points, acc))  # a fresh raster: no copy
+    """Coherent sum of coefficient-weighted LG modes at plane +z2.
+
+    The mode weights go into a table of HG weights; two real products per
+    mirror-sign part with the 1-D HG table expand it on the quarter, which
+    is chirped and unfolded onto the window once.
+    """
+    _warn_if_clipped(coeffs.beam, spec, float(z2), coeffs.l_max, coeffs.p_max)
+    mode, flat, weight, order, big_k = _lg_to_hg(coeffs.l_max, coeffs.p_max)
+    table, chirp, gouy = _hg_tables(coeffs.beam, spec, float(z2), big_k)
+    # weights[part, n, m]: real and imaginary parts of the HG weights S[m, n] of the field.
+    weighted = (coeffs.values * gouy[order]).ravel()
+    weights = np.stack([np.bincount(flat, weight * part[mode], (big_k + 1) ** 2)
+                        for part in (weighted.real, weighted.imag)]).reshape(2, big_k + 1, big_k + 1)
+    # Odd n: times i^(n % 2), which weight leaves out, and (-1)^n for the rows: -i (re + i im).
+    weights[:, 1::2] = np.stack([weights[1, 1::2], -weights[0, 1::2]])
+    # The raster before its scratch parts, so the next call finds the parts' block free.
+    raster = np.empty((spec.side_points,) * 2, dtype=complex)
+    h = table.shape[1]
+    parts = np.empty((2, 2, h, h), dtype=complex)  # indexed [sx, sy] by the mirror signs (-1)^m, (-1)^n
+    for a in (0, 1):
+        for b in (0, 1):
+            block = weights[:, b::2, a::2]
+            kb, ka = block.shape[1:]
+            rows = block.reshape(2 * kb, ka) @ table[a::2]
+            parts[a, b].real = table[b::2].T @ rows[:kb]
+            parts[a, b].imag = table[b::2].T @ rows[kb:]
+    parts *= np.outer(chirp, chirp)
+    return ComplexField._adopt(spec, _unfold(spec.side_points, parts, raster))  # a fresh raster: no copy
 
 
 @functools.lru_cache(maxsize=8)

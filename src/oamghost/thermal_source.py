@@ -276,6 +276,9 @@ def csd_mode_decompose(
             "default runtime budget (l_max <= 6, p_max <= 6, side_points <= 256); "
             "pass allow_large=True to force"
         )
+    spread = 2.0 * geometry.sigma_g * geometry.sigma_g  # a product: inf (a kernel of 1), not OverflowError
+    if spread == 0.0:
+        raise ValueError(f"sigma_g = {geometry.sigma_g!r} m is too small: 2 sigma_g^2 underflows to 0")
     if spec.pixel_pitch > geometry.sigma_g:
         warnings.warn(
             f"pixel pitch {spec.pixel_pitch:.3g} m does not resolve the coherence width "
@@ -291,7 +294,6 @@ def csd_mode_decompose(
     envelope = np.exp(-(x * x + y * y) / (4.0 * geometry.sigma_s ** 2))
     weight = _mirror_weight(n)  # each quarter pixel stands for itself and its mirror images
     offset = np.arange(n) * spec.pixel_pitch
-    spread = 2.0 * geometry.sigma_g * geometry.sigma_g  # a product: inf (a kernel of 1), not OverflowError
     kernel = np.exp(-((offset[:h, None] - offset[None, :]) ** 2) / spread)
     # Below sqrt(tiny), products with the integrand could be subnormal.
     kernel[kernel < math.sqrt(np.finfo(float).tiny)] = 0.0

@@ -420,6 +420,24 @@ def test_extreme_finite_inputs_exit_without_traceback(tmp_path, capsys, argv, co
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the clover at 1e200 m
+@pytest.mark.parametrize("flags,named", [(["--extent", "1e-300"], "extent"), (["--sigma-g", "1e-300"], "sigma_g"),
+                                         (["--extent", "1e200"], "extent")])
+def test_image_refuses_a_window_without_object_power_before_writing(tmp_path, capsys, flags, named):
+    out = tmp_path / "o"
+    assert main(["image", "--grid", "32", "--out", str(out)] + flags) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: object power") and named in err
+    assert list(out.iterdir()) == []
+
+
+def test_oracle_csd_refuses_an_underflowing_sigma_g(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["oracle-csd", "--sigma-g", "1e-300", "--grid", "32", "--out", str(out)]) == EXIT_USAGE
+    assert "sigma_g" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_oracle_csd_run(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["oracle-csd", "--l-max", "1", "--p-max", "1", "--grid", "64",

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oamghost.field_grid import (
     default_grid,
     inner_product,
     _fold,
+    _lg_to_hg,
     _mode_norms,
     _shells,
     _unfold,
@@ -24,7 +26,7 @@ from oamghost.field_grid import (
     read_field,
     write_field,
 )
-from oamghost.spiral_imaging import ModeCoefficients, render_background
+from oamghost.spiral_imaging import ModeCoefficients, render_background, render_pure_image
 from oamghost.thermal_source import flat_spectrum
 
 WAIST = 1e-3
@@ -287,6 +289,58 @@ def test_iter_matches_oracle_at_high_order():
         for mode, raster in iter_lg_rasters(BEAM, spec, z, modes):
             ref = lg_amplitude(mode, BEAM, r, phi, z)
             assert np.max(np.abs(raster - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# The same window and modes through the HG passes: a one-hot table at the truncation (|l|, p).
+@pytest.mark.filterwarnings("ignore::oamghost.field_grid.ModeClippedWarning")
+def test_render_matches_oracle_at_high_order():
+    spec = GridSpec(64, 48.0 * WAIST)
+    r, phi = spec.polar()
+    for z in (0.0, 0.7 * BEAM.rayleigh_range):
+        for mode in [ModeIndex(s * l, p) for l in (200, 250, 300) for p in (0, 3) for s in (1, -1)]:
+            values = np.zeros((2 * abs(mode.l) + 1, mode.p + 1), dtype=complex)
+            values[mode.l + abs(mode.l), mode.p] = 1.0
+            raster = render_pure_image(ModeCoefficients(abs(mode.l), mode.p, values, z, BEAM), spec, z).samples
+            ref = lg_amplitude(mode, BEAM, r, phi, z)
+            assert np.max(np.abs(raster - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _hg_rows(l_max, p_max):
+    """{(l, p): d} from _lg_to_hg: the real HG weights d_0 ... d_N of each mode of order N = 2p + |l|."""
+    mode, flat, weight, order, big_k = _lg_to_hg(l_max, p_max)
+    k = flat // (big_k + 1)
+    signed = weight * np.where((k // 2) % 2, -1.0, 1.0)  # weight = (-1)^(k // 2) d_k
+    cuts = np.flatnonzero(np.diff(mode)) + 1  # the entries of each mode are contiguous
+    rows = {}
+    for j, ks, ds in zip(mode[np.r_[0, cuts]], np.split(k, cuts), np.split(signed, cuts)):
+        l, p = divmod(int(j), p_max + 1)
+        rows[(l - l_max, p)] = np.zeros(order.flat[j] + 1)
+        rows[(l - l_max, p)][ks] = ds
+    return rows
+
+
+def test_hg_rows_are_orthonormal_per_order():
+    # Every order N <= 60 is complete in the (60, 30) table: N + 1 modes, l = -N, -N + 2, ..., N.
+    rows = _hg_rows(60, 30)
+    for order in range(61):
+        block = np.array([rows[(l, (order - abs(l)) // 2)] for l in range(-order, order + 1, 2)])
+        assert np.max(np.abs(block @ block.T - np.eye(order + 1))) <= 1e-13
+
+
+def test_hg_rows_match_exact_krawtchouk_sums():
+    # Beijersbergen et al. (1993): d_k = (-1)^p sqrt((N - k)! k! / (2^N n-! n+!)) [t^k] (1 - t)^n- (1 + t)^n+,
+    # with n+ = p + max(l, 0) and n- = N - n+; the coefficient is an exact integer sum.
+    for (l, p), d in _hg_rows(12, 6).items():
+        order = 2 * p + abs(l)
+        if order > 12:
+            continue
+        n_plus = p + max(l, 0)
+        n_minus = order - n_plus
+        for k in range(order + 1):
+            coeff = sum((-1) ** j * math.comb(n_minus, j) * math.comb(n_plus, k - j) for j in range(k + 1))
+            square = Fraction(math.factorial(order - k) * math.factorial(k) * coeff * coeff,
+                              2 ** order * math.factorial(n_minus) * math.factorial(n_plus))
+            assert abs(d[k] - (-1) ** p * math.copysign(math.sqrt(square), coeff)) <= 1e-14
 
 
 @pytest.mark.filterwarnings("ignore::oamghost.field_grid.ModeClippedWarning")

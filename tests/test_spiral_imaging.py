@@ -312,6 +312,27 @@ def test_render_total_coherent_limit():
                                2.0 * abs(a00) ** 2 * np.abs(mode) ** 2, rtol=1e-10)
 
 
+@pytest.mark.parametrize("z", [0.0, Z2])
+def test_hg_passes_match_pointwise_oracle_at_order_60(z):
+    # At l_max = p_max = 20 the HG tables reach order N = 60; every value is checked per mode
+    # against lg_amplitude at every pixel of the window.
+    lm = pm = 20
+    spec = default_grid(BEAM, l_max=lm, p_max=pm, side_points=112, z=z)
+    modes = [ModeIndex(20, 20), ModeIndex(-20, 20), ModeIndex(0, 20), ModeIndex(-13, 17), ModeIndex(7, 10)]
+    ref = {m: sample(m, spec, z).samples for m in modes}
+    for m in modes:
+        values = np.zeros((2 * lm + 1, pm + 1), dtype=complex)
+        values[m.l + lm, m.p] = 1.0
+        got = render_pure_image(ModeCoefficients(lm, pm, values, z, BEAM), spec, z).samples
+        assert np.max(np.abs(got - ref[m])) <= 1e-12 * np.max(np.abs(ref[m]))
+    rng = np.random.default_rng(60)
+    obj = ComplexField(spec, rng.normal(size=(112, 112)) + 1j * rng.normal(size=(112, 112)))
+    coeffs = object_spectrum(obj, BEAM, -z, lm, pm)
+    got = np.array([coeffs.value(m.l, m.p) for m in modes])
+    expect = np.array([np.vdot(ref[m], obj.samples) * spec.pixel_area for m in modes])
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
 @pytest.mark.parametrize("z,side", [(0.0, 80), (Z2, 80), (0.0, 81), (Z2, 81)],
                          ids=["0.0", "0.5", "0.0-81", "0.5-81"])
 def test_engine_matches_pointwise_oracle(z, side):

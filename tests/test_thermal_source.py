@@ -209,6 +209,13 @@ def test_csd_decomposition_budget_refusal():
     assert tensor.coefficient(0, 0, 0, 0).real > 0
 
 
+def test_csd_decomposition_refuses_an_underflowing_sigma_g():
+    # 2 sigma_g^2 underflows to 0, which would make every kernel entry 0/0.
+    geo = source_geometry(SIGMA_S, 1e-300)
+    with pytest.raises(ValueError, match="sigma_g"):
+        csd_mode_decompose(geo, 0, 0, GridSpec(32, 1e-2))
+
+
 # A 32^2 window of 1 cm cannot sample a 45 um waist: the mode guard fires too.
 @pytest.mark.filterwarnings("ignore::oamghost.field_grid.ModeClippedWarning")
 def test_csd_decomposition_warns_on_unresolved_coherence():
