@@ -339,17 +339,19 @@ def _run_image(config: RunConfig) -> int:
     else:
         obj = clover_object(spec, config.clover_radius)
 
+    window = f"on the {spec.side_points}^2 window of {spec.extent:.3g} m"
+    cause = ("change extent" if config.extent is not None else
+             f"the automatic window follows the beam width {beam.width(z_far):.3g} m, set by sigma_s,"
+             " sigma_g and wavelength; change sigma_g or set extent")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing pixel area is refused below
         obj_power = float(np.sum(np.abs(obj.samples) ** 2) * np.square(spec.pixel_pitch))
     if not (obj_power > 0.0 and math.isfinite(obj_power)):
-        cause = ("change extent" if config.extent is not None else
-                 f"the automatic window follows the beam width {beam.width(z_far):.3g} m, set by sigma_s,"
-                 " sigma_g and wavelength; change sigma_g or set extent")
-        raise ValueError(f"object power on the {spec.side_points}^2 window of {spec.extent:.3g} m is"
-                         f" {obj_power:g}, not positive and finite: {cause}")
+        raise ValueError(f"object power {window} is {obj_power:g}, not positive and finite: {cause}")
     result = render_total(obj, geo, config.z1, config.z2, config.l_max, config.p_max, config.wavelength)
     coeffs, image = result.object_coefficients, result.image_coefficients
     capture = coeffs.power() / obj_power
+    if not (capture > 0.0 and math.isfinite(capture)):  # e.g. coefficients that square to 0
+        raise ValueError(f"captured fraction {window} is {capture:g}, not positive and finite: {cause}")
     defect, mode = max(_worst_norm_defect(beam, spec, z, config.l_max, config.p_max)
                        for z in (-config.z1, config.z2))  # read from the passes' cache
     pure_inten, pure_phase = intensity_and_phase(result.pure_field)

@@ -10,9 +10,9 @@ There are three LG evaluators:
 - lg_amplitude evaluates one mode at arbitrary polar points and serves as
   the independent pointwise oracle;
 - _lg_blocks, the radial engine, serves the mode norms (_mode_norms), the
-  background profile, the CSD quadrature and iter_lg_rasters;
+  background profile and iter_lg_rasters;
 - the HG tables (_lg_to_hg, _hg_tables) serve the two coherent passes,
-  object_spectrum and render_pure_image.
+  object_spectrum and render_pure_image, and the CSD quadrature.
 
 _lg_blocks uses that an LG mode factors as radial(|l|, p) x exp(i l phi) x
 curvature chirp x Gouy phase, so one radial stack per |l| serves every p
@@ -41,11 +41,12 @@ have a fixed sign under each mirror:
     cos(l phi)   (-1)^l       +1
     sin(l phi)   -(-1)^l      -1
 
-_mirror_slots is this table in code. For the HG products the signs are
-(-1)^m under x -> -x and (-1)^n under y -> -y, since h_m(-x) = (-1)^m h_m(x).
-A sum over the window folds onto the quarter (_fold), and quarter parts of
-each sign pair unfold onto the window (_unfold, its adjoint). For odd N the
-centre row and column are their own mirror images and are counted once.
+iter_lg_rasters puts each part in the _fold slot of its signs by this
+table. For the HG products the signs are (-1)^m under x -> -x and (-1)^n
+under y -> -y, since h_m(-x) = (-1)^m h_m(x). A sum over the window folds
+onto the quarter (_fold), and quarter parts of each sign pair unfold onto
+the window (_unfold, its adjoint). For odd N the centre row and column are
+their own mirror images and are counted once.
 """
 
 from __future__ import annotations
@@ -291,21 +292,6 @@ def _fold(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mirror_weight(n: int) -> np.ndarray:
-    """(h, h) window pixels each quarter pixel stands for: 2 per axis, 1 on the centre line of odd n."""
-    axis = np.full((n + 1) // 2, 2.0)
-    axis[-1] -= n % 2
-    return np.outer(axis, axis)
-
-
-def _mirror_slots(l_abs: int):
-    """[sx, sy] slots (see _fold) of the cos(|l| phi) and sin(|l| phi) terms.
-
-    Their mirror signs are those of the table in the module docstring.
-    """
-    return (l_abs % 2, 0), (1 - l_abs % 2, 1)
-
-
 def _unfold(n: int, parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(n, n) raster from (2, 2, h, h) quarter parts indexed [sx, sy], the adjoint of _fold.
 
@@ -478,7 +464,10 @@ def _mode_norms(beam: BeamSpec, spec: GridSpec, z_abs: float, l_max: int, p_max:
     n_s window pixels. Cached: one image's passes at -z and +z, and a sweep's jobs, share one pass.
     """
     r2, inverse, _ = _shells(spec)
-    counts = np.bincount(inverse.ravel(), _mirror_weight(spec.side_points).ravel(), r2.size)
+    n = spec.side_points
+    axis = np.full((n + 1) // 2, 2.0)  # window pixels per quarter pixel and axis: 2, 1 on the centre line of odd n
+    axis[-1] -= n % 2
+    counts = np.bincount(inverse.ravel(), np.outer(axis, axis).ravel(), r2.size)
     counts *= spec.pixel_area
     norms = np.array([np.einsum("ps,ps,s->p", radial, radial, counts)
                       for radial, *_ in _lg_blocks(beam, spec, z_abs, l_max, p_max)])
@@ -523,7 +512,8 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
     _warn_if_clipped(beam, spec, z, l_max, p_max)
     n = spec.side_points
     for l_abs, (radial, harmonic, gouy, chirp, inverse) in enumerate(_lg_blocks(beam, spec, z, l_max, p_max)):
-        cos_slot, sin_slot = _mirror_slots(l_abs)
+        # [sx, sy] slots (see _fold) of the cos(|l| phi) and sin(|l| phi) parts: the module docstring's table.
+        cos_slot, sin_slot = (l_abs % 2, 0), (1 - l_abs % 2, 1)
         for mode in modes:
             if abs(mode.l) != l_abs:
                 continue

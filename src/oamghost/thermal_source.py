@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_grid import (BeamSpec, GridSpec, ModeIndex, _lg_blocks, _mirror_slots, _mirror_weight,
-                         _warn_if_clipped, default_grid)
+from .field_grid import BeamSpec, GridSpec, ModeIndex, _hg_tables, _lg_to_hg, _warn_if_clipped, default_grid
 
 __all__ = [
     "CsdTensor",
@@ -222,47 +221,19 @@ def csd_mode_decompose(
         f[l, l', p, p'] = iint iint W(rho1, rho2) LG*_{l,p}(rho1) LG*_{l',p'}(rho2)
                           d^2 rho1 d^2 rho2
 
-    as a nested projection: first the per-pixel partial projection
-    g_{l,p}(rho2) = E(rho2) int K(rho1 - rho2) E(rho1) LG*_{l,p}(rho1) d^2 rho1,
-    with W = E(rho1) E(rho2) K(rho1 - rho2), then the rho2 projection against
-    every second mode. The quadrature sums are the plain midpoint-rule ones.
+    as the plain midpoint-rule sum over the window's pixels, taken axis by
+    axis. W = E(rho1) E(rho2) K(rho1 - rho2) factors over x and y into one 1-D
+    envelope e and Toeplitz kernel k, and each mode is the real-weighted mix
+    sum_k i^k d_k h_{N-k}(x) h_k(y) of HG products (field_grid._lg_to_hg). So
+    the sum is one real 1-D matrix over the HG orders,
 
-    Everything runs in real arithmetic over the l >= 0 half of the lattice
-    and over one quarter of the window. Write LG(l, p) = u + i v with real u
-    and v, and G_u, G_v for the partial projections of u and v:
+        A[m, m'] = sum_{x, x'} e(x) k(x - x') e(x') h_m(x) h_m'(x') dx^2,
 
-    - half-lattice: at z = 0, LG(-l, p) = conj LG(l, p) and W is real, so
-      only the (l_max + 1)(p_max + 1) modes with l >= 0 are rastered and
-      blurred;
-    - parities: the window, E and K are symmetric under both mirrors x -> -x
-      and y -> -y, so u (the cos(l phi) part) and v (the sin(l phi) part)
-      each keep the mirror signs of field_grid's table (_mirror_slots), and
-      so do their partial projections;
-    - quarter window: every part is known from its ceil(N/2)^2 quarter
-      (rows and columns 0 ... ceil(N/2) - 1), which is where the raster
-      engine field_grid._lg_blocks works, so the rest of the window is
-      never rastered. K factorizes over x and y into
-      one real Toeplitz kernel; folded onto the quarter for a part of mirror
-      sign s on an axis, it is K_s[q, k] = K[q, k] + s K[q, mirror(k)], so
-      the blur of a quarter X is K_sy @ X @ K_sx^T, two real products per
-      part and |l| block. For odd N the centre column is its own mirror: it is
-      halved in K_+ and vanishes in K_-;
-    - projection: the products G_u u' and G_v v' are even in y (the mixed
-      G_u v' and G_v u' are odd and vanish), and in x they have parity
-      (-1)^(l - l'). For l - l' odd they sum to exactly zero over the
-      window. Otherwise their window sum is the quarter sum with weight 2 per
-      axis, 1 on the centre row and column of odd N. The two real products
-      a = G_u u^T and b = G_v v^T, taken per parity class of l, give the
-      whole (real) table: f[l, l'] = f[-l, -l'] = a - b and
-      f[l, -l'] = f[-l, l'] = a + b;
-    - sigma_g = inf: K = 1, so K_- = 0 and K_+ is the mirror weight: the
-      blur gives G = E times the window sum of u E, and zero for every part
-      that is odd on an axis;
-    - floor: kernel entries below sqrt(tiny) are set to zero. The dropped
-      terms are below about 1e-150; kept, they would only slow the blur
-      down. On oracle_grid windows (l_max, p_max <= 6) the integrand stays
-      above sqrt(tiny), so no product in the blur is subnormal; on windows a
-      few times wider it reaches the subnormal range and the blur slows.
+    contracted on each axis with the modes' HG weights. e and k are even, so
+    A vanishes where m and m' differ in parity and is set to exactly 0 there.
+    The surviving terms pair k with a k' of its parity, whose phase
+    conj(i^k) conj(i^k') is, beside _lg_to_hg's signed weights, -1 for odd k
+    and 1 for even k. At sigma_g = inf the kernel is 1.
 
     This is a cross-check oracle, not a production path: truncations or grids
     beyond the default runtime budget are refused unless allow_large is set.
@@ -273,8 +244,8 @@ def csd_mode_decompose(
     if not allow_large and (l_max > 6 or p_max > 6 or spec.side_points > 256):
         raise ValueError(
             f"decomposition over {n_modes} modes on a {spec.side_points}^2 grid exceeds the "
-            "default runtime budget (l_max <= 6, p_max <= 6, side_points <= 256); "
-            "pass allow_large=True to force"
+            "CSD oracle's runtime budget (l_max <= 6, p_max <= 6, side_points <= 256); "
+            "lower l_max, p_max or the grid side"
         )
     spread = 2.0 * geometry.sigma_g * geometry.sigma_g  # a product: inf (a kernel of 1), not OverflowError
     if spread == 0.0:
@@ -286,50 +257,30 @@ def csd_mode_decompose(
             stacklevel=2,
         )
 
-    n = spec.side_points
-    h = (n + 1) // 2
-    np_ = p_max + 1
-    x, y = spec.grids()
-    x, y = x[:h, :h], y[:h, :h]
-    envelope = np.exp(-(x * x + y * y) / (4.0 * geometry.sigma_s ** 2))
-    weight = _mirror_weight(n)  # each quarter pixel stands for itself and its mirror images
-    offset = np.arange(n) * spec.pixel_pitch
-    kernel = np.exp(-((offset[:h, None] - offset[None, :]) ** 2) / spread)
-    # Below sqrt(tiny), products with the integrand could be subnormal.
-    kernel[kernel < math.sqrt(np.finfo(float).tiny)] = 0.0
-    near, far = kernel[:, :h], kernel[:, ::-1][:, :h]  # K[q, k], K[q, mirror(k)]
-    kernels = np.stack([near + far, near - far])  # K_+ and K_-, indexed by the sign slot of _fold
-    if n % 2:
-        kernels[0, :, -1] *= 0.5
-
-    # [part, l, p] holds the quarters of u (part 0) and v (part 1) of LG(l, p)
-    # in rasters, and of G_u and G_v in partials, for l >= 0.
-    rasters = np.empty((2, l_max + 1, np_, h, h))
-    partials = np.empty_like(rasters)
     beam = BeamSpec(geometry.matched_waist)  # at z = 0 the modes do not depend on the wavelength
-    projection_weight = envelope * weight * spec.pixel_area
     _warn_if_clipped(beam, spec, 0.0, l_max, p_max)
-    # At z = 0 the Gouy phase and the chirp are 1: LG(l, p) on the
-    # quarter is radial[p][inverse] * harmonic.
-    for l, (radial, harmonic, _, _, inverse) in enumerate(_lg_blocks(beam, spec, 0.0, l_max, p_max)):
-        shells = radial[:, inverse]
-        np.multiply(shells, harmonic.real, out=rasters[0, l])
-        np.multiply(shells, harmonic.imag, out=rasters[1, l])
-        integrand = rasters[:, l] * envelope
-        for part, (sx, sy) in enumerate(_mirror_slots(l)):
-            np.matmul(kernels[sy], integrand[part] @ kernels[sx].T, out=partials[part, l])
-        partials[:, l] *= projection_weight
-
+    mode, flat, weight, order, big_k = _lg_to_hg(l_max, p_max)
+    quarter = _hg_tables(beam, spec, 0.0, big_k)[0]
+    n, h = spec.side_points, quarter.shape[1]
+    parity = np.arange(big_k + 1) % 2
+    # h_m over the whole axis: the quarter's columns, then their mirror images times (-1)^m.
+    table = np.concatenate([quarter, quarter[:, : n - h][:, ::-1] * (1 - 2 * parity)[:, None]], axis=1)
+    x = spec.axis()
+    table *= np.exp(-x * x / (4.0 * geometry.sigma_s ** 2))
+    offset = np.arange(n) * spec.pixel_pitch
+    kernel = np.exp(-((offset[:, None] - offset[None, :]) ** 2) / spread)
     # np.einsum, not a BLAS @: when the caller imported numpy before oamghost,
-    # OpenBLAS keeps its thread pool, and a threaded product here waits on its
-    # worker thread, which after an idle pause made each call 4x slower.
-    a, b = np.zeros((2, l_max + 1, l_max + 1, np_, np_))
-    for parity in (0, 1):
-        for k, out in ((0, a), (1, b)):
-            out[parity::2, parity::2] = np.einsum(
-                "lpxy,mqxy->lmpq", partials[k, parity::2], rasters[k, parity::2]) * spec.pixel_area
-    nl = 2 * l_max + 1
-    coeffs = np.empty((nl, nl, np_, np_))
-    coeffs[l_max:, l_max:] = coeffs[l_max::-1, l_max::-1] = a - b  # f[l, l'] = f[-l, -l']
-    coeffs[l_max:, l_max::-1] = coeffs[l_max::-1, l_max:] = a + b  # f[l, -l'] = f[-l, l']
-    return CsdTensor(l_max, p_max, coeffs)
+    # OpenBLAS keeps its thread pool, and its idle worker spins beside a product.
+    a = np.einsum("mj,nj->mn", np.einsum("mi,ij->mj", table, kernel), table) * spec.pixel_area
+    a[parity[:, None] != parity[None, :]] = 0.0
+
+    # hg[b, n, m]: the HG weight of h_m(x) h_n(y) in mode b; blurred[n, m, b] is hg with A on both axes.
+    hg = np.zeros((order.size, (big_k + 1) ** 2))
+    hg[mode, flat] = weight
+    hg = hg.reshape(order.size, big_k + 1, big_k + 1)
+    blurred = np.einsum("bnM,mM->nmb", np.einsum("nN,bNM->bnM", a, hg), a).reshape(-1, order.size)
+    signed = np.where(flat // (big_k + 1) % 2, -weight, weight)  # conj(i^k)^2 = -1 for odd k = n
+    counts = order.ravel() + 1  # each mode's entries k = 0 ... N, one after another
+    f = np.add.reduceat(blurred[flat] * signed[:, None], np.cumsum(counts) - counts)
+    nl, np_ = 2 * l_max + 1, p_max + 1
+    return CsdTensor(l_max, p_max, f.reshape(nl, np_, nl, np_).transpose(0, 2, 1, 3))

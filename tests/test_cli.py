@@ -431,6 +431,24 @@ def test_image_refuses_a_window_without_object_power_before_writing(tmp_path, ca
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore::oamghost.field_grid.ModeClippedWarning")
+def test_image_refuses_an_underflowed_capture_before_writing(tmp_path, capsys):
+    # The object power is tiny but normal; its coefficients, about 1e-298, square to 0.
+    out = tmp_path / "o"
+    assert main(["image", "--grid", "32", "--extent", "1e-150", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: captured fraction") and "extent" in err
+    assert list(out.iterdir()) == []
+
+
+def test_oracle_csd_refuses_a_truncation_over_its_budget(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["oracle-csd", "--l-max", "7", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "l_max" in err and "allow_large" not in err  # a CLI user cannot pass allow_large
+    assert list(out.iterdir()) == []
+
+
 def test_oracle_csd_refuses_an_underflowing_sigma_g(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["oracle-csd", "--sigma-g", "1e-300", "--grid", "32", "--out", str(out)]) == EXIT_USAGE

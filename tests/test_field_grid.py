@@ -368,7 +368,7 @@ def _raster_pair(spec, z1, mode1, z2, mode2):
 @given(side=st.integers(2, 40), extent=st.floats(2.0, 12.0), l=st.integers(0, 12),
        p=st.integers(0, 6))
 def test_iter_conjugation_at_focus_is_exact(side, extent, l, p):
-    # csd_mode_decompose rasters only l >= 0 and takes the l < 0 modes as conjugates.
+    # At the waist every LG factor but exp(i l phi) is real, so LG(-l, p) is exactly conj LG(l, p).
     spec = GridSpec(side, extent * WAIST)
     neg, pos = _raster_pair(spec, 0.0, ModeIndex(-l, p), 0.0, ModeIndex(l, p))
     assert np.array_equal(neg, np.conj(pos))

@@ -246,14 +246,21 @@ def dense_csd_projection(geo, l_max, p_max, spec):
     (1.5 * SIGMA_S, 0, 2, 20),
     (1.2 * SIGMA_S, 2, 2, 21),
     (math.inf, 2, 2, 21),
-], ids=["0.002-2-2", "0.0012-2-2", "inf-2-2", "0.0015-0-2", "0.0012-2-2-odd21", "inf-2-2-odd21"])
+    (2.0 * SIGMA_S, 2, 2, 2),
+    (math.inf, 2, 2, 3),
+    (1.2 * SIGMA_S, 3, 1, 20),
+    (math.inf, 3, 1, 21),
+], ids=["0.002-2-2", "0.0012-2-2", "inf-2-2", "0.0015-0-2", "0.0012-2-2-odd21", "inf-2-2-odd21",
+        "0.002-2-2-side2", "inf-2-2-odd3", "0.0012-3-1", "inf-3-1-odd21"])
 # The dense oracle is quartic in N, so the grids are coarse enough to undersample
-# LG(2, 2) by up to 0.5% of its norm; both sides use the same sampled modes.
+# LG(2, 2) by up to 0.5% of its norm (2^2 and 3^2 windows by far more); both
+# sides use the same sampled modes. The 2^2 window's pitch is also wider than sigma_g.
 @pytest.mark.filterwarnings("ignore::oamghost.field_grid.ModeClippedWarning")
+@pytest.mark.filterwarnings("ignore:pixel pitch:UserWarning")
 def test_csd_decomposition_matches_dense_quadrature(sigma_g, l_max, p_max, side_points):
-    # Uses neither the separable kernel, nor the l -> -l conjugation, nor the
-    # mirror folding onto a quarter window of the engine; odd side_points puts
-    # a centre row and column on the mirror lines.
+    # Uses neither the separable kernel, nor the HG tables, nor their mirror
+    # images across the window's centre lines; odd side_points puts a centre
+    # row and column on the mirror lines.
     geo = source_geometry(SIGMA_S, sigma_g)
     spec = oracle_grid(geo, l_max, p_max, side_points)
     expect = dense_csd_projection(geo, l_max, p_max, spec)
