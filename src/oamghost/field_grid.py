@@ -26,27 +26,28 @@ The HG tables use that an LG mode of order N = 2p + |l| is a fixed unitary
 mix of the Hermite-Gaussian products h_{N-k}(x) h_k(y), whose chirp factors
 into x and y and whose Gouy phase depends on N alone. So a sum of modes is
 a small (K + 1)^2 table of HG weights, K = 2 p_max + l_max, contracted with
-one 1-D table h_m(x) per axis: real matrix products, pointwise exact on the
-same pixels.
+one 1-D table h_m(x) over the whole axis: real matrix products, pointwise
+exact on the same pixels. The table's columns past the quarter are the
+mirror images of its own, since h_m(-x) = (-1)^m h_m(x), and window row i
+sits at y = -x_i, so the same table serves the rows.
 
-Both work on one quarter of the window only, the ceil(N/2)^2 block of rows
-and columns 0 ... ceil(N/2) - 1 (x <= 0, y >= 0), which already holds every
-shell: 20,604 shells cover the 65,536 quarter pixels of a 512^2 window. The
-other three quarters are mirror images. Mirroring x -> -x maps exp(i l phi)
-to (-1)^l exp(-i l phi), and y -> -y maps it to exp(-i l phi), so with a
-radial factor S(r) the parts S cos(l phi) and i S sin(l phi) of a mode each
-have a fixed sign under each mirror:
+The radial engine works on one quarter of the window only, the
+ceil(N/2)^2 block of rows and columns 0 ... ceil(N/2) - 1 (x <= 0, y >= 0),
+which already holds every shell: 20,604 shells cover the 65,536 quarter
+pixels of a 512^2 window. The other three quarters are mirror images.
+Mirroring x -> -x maps exp(i l phi) to (-1)^l exp(-i l phi), and y -> -y
+maps it to exp(-i l phi), so with a radial factor S(r) the parts
+S cos(l phi) and i S sin(l phi) of a mode each have a fixed sign under each
+mirror:
 
     part         x-mirror     y-mirror
     cos(l phi)   (-1)^l       +1
     sin(l phi)   -(-1)^l      -1
 
-iter_lg_rasters puts each part in the _fold slot of its signs by this
-table. For the HG products the signs are (-1)^m under x -> -x and (-1)^n
-under y -> -y, since h_m(-x) = (-1)^m h_m(x). A sum over the window folds
-onto the quarter (_fold), and quarter parts of each sign pair unfold onto
-the window (_unfold, its adjoint). For odd N the centre row and column are
-their own mirror images and are counted once.
+iter_lg_rasters puts each part in the _unfold slot of its signs by this
+table, and _unfold writes the quarter parts of each sign pair onto the
+window; render_background pads its even quarter. For odd N the centre row
+and column are their own mirror images.
 """
 
 from __future__ import annotations
@@ -267,36 +268,13 @@ def _shells(spec: GridSpec):
     return r2, inverse, eiphi
 
 
-def _fold(t: np.ndarray) -> np.ndarray:
-    """Signed mirror sums of an (N, N) raster onto its (h, h) quarter.
-
-    Returns a (2, 2, h, h) array indexed [sx, sy], 0 for the sign +1 and 1
-    for -1: t at each quarter pixel, plus sx times t at its x-mirror image
-    (column N - 1 - j), sy times t at its y-mirror image (row N - 1 - i) and
-    sx sy times t at its xy-mirror image. For odd N the centre row and
-    column are counted once.
-    """
-    n = t.shape[0]
-    h = (n + 1) // 2
-    m = n - h
-    rows = np.empty((2, h, n), dtype=t.dtype)
-    rows[:] = t[:h]
-    mirror = t[: h - 1 : -1]  # rows N - 1 ... h, the y-images of rows 0 ... m - 1
-    rows[0, :m] += mirror
-    rows[1, :m] -= mirror
-    out = np.empty((2, 2, h, h), dtype=t.dtype)
-    out[:] = rows[:, :, :h]
-    mirror = rows[:, :, : h - 1 : -1]
-    out[0, :, :, :m] += mirror
-    out[1, :, :, :m] -= mirror
-    return out
-
-
 def _unfold(n: int, parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(n, n) raster from (2, 2, h, h) quarter parts indexed [sx, sy], the adjoint of _fold.
+    """(n, n) raster from (2, 2, h, h) quarter parts indexed [sx, sy], 0 for the sign +1 and 1 for -1.
 
-    Each part holds terms of mirror signs sx and sy; the quarter gets their
-    sum and each mirror image of a quarter pixel their signed sum. The sums
+    Each part holds terms of mirror signs sx under x -> -x and sy under
+    y -> -y; the quarter gets their sum and each mirror image of a quarter
+    pixel (column N - 1 - j, row N - 1 - i or both) their signed sum. For
+    odd N the centre row and column are written once. The sums
     are taken in place, in parts and in the raster's own quarter, so parts
     is overwritten. The raster is out if given, else the only array allocated.
     """
@@ -425,27 +403,36 @@ def _lg_to_hg(l_max: int, p_max: int):
 
 @functools.lru_cache(maxsize=16)
 def _hg_tables(beam: BeamSpec, spec: GridSpec, z: float, big_k: int):
-    """Read-only 1-D HG tables of the window's quarter axis x at plane z: (table, chirp, gouy).
+    """Read-only 1-D HG tables of the window's axis x at plane z: (table, chirp, gouy).
 
-    - table: the real (K + 1, h) h_m(x) = (2/w^2)^(1/4) psi_m(sqrt(2) x / w) at the quarter's
-      columns, with the Hermite functions psi_m from their normalised three-term recurrence. The
-      quarter's rows sit at y = -x, where h_n(y) = (-1)^n h_n(x);
-    - chirp: the (h,) curvature phase exp(i k x^2 / 2R(z)): the quarter's is outer(chirp, chirp);
+    - table: the real (K + 1, N) h_m(x) = (2/w^2)^(1/4) psi_m(sqrt(2) x / w) at the window's
+      columns, with the Hermite functions psi_m from their normalised three-term recurrence on the
+      quarter's columns 0 ... h - 1 and the rest their mirror images times (-1)^m. Window row i
+      sits at y = -x_i, where h_n(y) = (-1)^n table[n, i];
+    - chirp: the (N,) curvature phase exp(i k x^2 / 2R(z)), even like x^2: the window's is
+      outer(chirp, chirp);
     - gouy: the (K + 1,) phases exp(-i (N + 1) arctan(z/zR)) of the orders N = 0 ... K.
 
     Cached: a sweep renders at a few planes over and over.
     """
     w = beam.width(z)
     zr = beam.rayleigh_range
-    x = spec.axis()[: (spec.side_points + 1) // 2]
+    n = spec.side_points
+    h = (n + 1) // 2
+    x = spec.axis()[:h]
     t = math.sqrt(2.0) / w * x
-    table = np.empty((big_k + 1, x.size))
-    table[0] = (2.0 / (math.pi * w * w)) ** 0.25 * np.exp(-0.5 * t * t)
+    # Column-major, so a block of window rows table.T[rows] is contiguous: OpenBLAS multiplies a
+    # few contiguous rows faster than a transposed block.
+    table = np.empty((n, big_k + 1)).T
+    table[0, :h] = (2.0 / (math.pi * w * w)) ** 0.25 * np.exp(-0.5 * t * t)
     for m in range(big_k):
-        nxt = np.multiply(math.sqrt(2.0 / (m + 1)) * t, table[m], out=table[m + 1])
+        nxt = np.multiply(math.sqrt(2.0 / (m + 1)) * t, table[m, :h], out=table[m + 1, :h])
         if m:
-            nxt -= math.sqrt(m / (m + 1.0)) * table[m - 1]
+            nxt -= math.sqrt(m / (m + 1.0)) * table[m - 1, :h]
+    flip = slice(n - h - 1, None, -1)  # quarter columns N - h - 1 ... 0, the images of h ... N - 1
+    np.multiply(table[:, flip], (1 - 2 * (np.arange(big_k + 1) % 2))[:, None], out=table[:, h:])
     chirp = np.exp(1j * (beam.wavenumber * z / (2.0 * (z * z + zr * zr))) * x * x)
+    chirp = np.concatenate([chirp, chirp[flip]])
     gouy = np.exp(-1j * (np.arange(big_k + 1) + 1) * math.atan2(z, zr))
     for arr in (table, chirp, gouy):
         arr.flags.writeable = False
@@ -512,7 +499,7 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
     _warn_if_clipped(beam, spec, z, l_max, p_max)
     n = spec.side_points
     for l_abs, (radial, harmonic, gouy, chirp, inverse) in enumerate(_lg_blocks(beam, spec, z, l_max, p_max)):
-        # [sx, sy] slots (see _fold) of the cos(|l| phi) and sin(|l| phi) parts: the module docstring's table.
+        # [sx, sy] slots (see _unfold) of the cos(|l| phi) and sin(|l| phi) parts: the module docstring's table.
         cos_slot, sin_slot = (l_abs % 2, 0), (1 - l_abs % 2, 1)
         for mode in modes:
             if abs(mode.l) != l_abs:

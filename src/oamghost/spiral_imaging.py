@@ -9,24 +9,21 @@ background + |pure|^2 by construction.
 The two coherent passes run on Hermite-Gaussian tables (field_grid). An
 LG mode of order N = 2p + |l| is sum_k i^k d_k h_{N-k}(x) h_k(y) times the
 chirp exp(i k (x^2 + y^2) / 2R) and the Gouy phase exp(-i (N + 1) psi), so
-both passes separate: object_spectrum dechirps the object, folds it onto
-its quarter (field_grid._fold) and takes its HG moments by 1-D table
-products; render_pure_image scatters the mode weights into a table of HG
-weights, expands it by 1-D table products on the quarter, chirps it and
-unfolds it onto the window once (field_grid._unfold). Since
-h_m(-x) = (-1)^m h_m(x), each mirror-sign part [sx, sy] of the quarter
-couples only the orders m = sx and n = sy (mod 2): a pass is four pairs of
-small real matrix products. The chirp is applied elementwise, so every
-product is real. On a 2-vCPU x86-64 host a plane-sweep job (256^2,
-l_max = 5, p_max = 9) takes about 5 ms against 15 ms with the radial
-engine's per-|l| shell loops.
+both passes separate into real products with the whole-axis table h_m(x),
+which also serves the rows (row i sits at y = -x_i, and
+h_n(-x) = (-1)^n h_n(x)). object_spectrum dechirps the object a block of
+rows at a time, projects each block on the table and adds its rank-r share
+to the HG moments; render_pure_image expands its table of HG weights over x
+once and writes the raster a block of rows at a time, each block one real
+product into the complex raster's own memory. Neither allocates anything
+window-sized but its output. The chirp is applied elementwise, so every
+product is real. On a 2-vCPU x86-64 host a pass at 256^2 with l_max = 5,
+p_max = 9 takes about 0.4-0.6 ms.
 
 A CLI process loads OpenBLAS with one thread (see the package docstring).
 In a caller that imported numpy first, OpenBLAS splits a product over its
-pool once m n k exceeds 262144. The largest product of a pass is
-(h, h) x (h, K // 2 + 1) for the quarter side h = ceil(N/2) and
-K = 2 p_max + l_max: 196608 at 256^2 with (5, 9), 97216 at 112^2 with
-(20, 20), but 2031616 at 512^2 with (20, 20) (README, "Threads").
+pool once m n k exceeds 262144, so _row_blocks sizes every block below
+that (README, "Threads").
 
 render_background stays on the radial engine (field_grid._lg_blocks): its
 raster is even under both mirrors, so it pads its quarter out to the
@@ -48,12 +45,10 @@ from .field_grid import (
     BeamSpec,
     ComplexField,
     GridSpec,
-    _fold,
     _hg_tables,
     _lg_blocks,
     _lg_to_hg,
     _shells,
-    _unfold,
     _warn_if_clipped,
 )
 from .thermal_source import SpiralSpectrum, SourceGeometry, build_spectrum
@@ -186,12 +181,23 @@ def _check_truncation(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> Non
         )
 
 
+def _row_blocks(rows: int, per_row: int) -> list[slice]:
+    """Slices of at most max(1, 262144 // per_row) rows that cover range(rows).
+
+    The coherent passes' one block rule: per_row is m n k of a block's
+    largest product per row it holds, so no product exceeds m n k = 262144,
+    the size up to which OpenBLAS runs it on one thread (README, "Threads").
+    """
+    step = max(1, 262144 // per_row)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_max: int) -> ModeCoefficients:
     """Overlap coefficients of the object against LG modes at plane -z1.
 
-    The dechirped object is folded once into the four signed mirror sums of
-    its quarter; two real products per sum with the 1-D HG table give its HG
-    moments, and each mode's coefficient is its d_k-weighted sum of the
+    Block by block of rows, the dechirped object goes through one real
+    product with the 1-D HG table and adds its rank-r share to the HG
+    moments; each mode's coefficient is its d_k-weighted sum of the
     moments of its order.
     """
     if l_max < 0 or p_max < 0:
@@ -201,15 +207,19 @@ def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_
     _warn_if_clipped(beam, spec, plane, l_max, p_max)
     mode, flat, weight, order, big_k = _lg_to_hg(l_max, p_max)
     table, chirp, gouy = _hg_tables(beam, spec, plane, big_k)
-    folded = _fold(obj.samples)
-    folded *= np.outer(np.conj(chirp) * spec.pixel_area, np.conj(chirp))
-    re, im = folded.real.copy(), folded.imag.copy()
-    # moments[part, n, m]: real and imaginary parts of the quarter sums of h_m(x) h_n(-y) times the
-    # folded, dechirped object; the quarter's rows sit at y = -x.
-    moments = np.empty((2, big_k + 1, big_k + 1))
-    for a in (0, 1):
-        for b in (0, 1):
-            moments[:, b::2, a::2] = [table[b::2] @ (part[a, b] @ table[a::2].T) for part in (re, im)]
+    side, k = spec.side_points, big_k + 1
+    dechirp = np.conj(chirp)
+    scale = dechirp * spec.pixel_area
+    # moments[n, part, m]: real and imaginary parts of the window sums of h_m(x) table[n, row] times
+    # the dechirped object, so without the sign (-1)^n of h_n(y) = (-1)^n table[n, row].
+    moments = np.zeros((k, 2 * k))
+    for rows in _row_blocks(side, 2 * k * max(side, k)):
+        block = obj.samples[rows] * dechirp
+        block *= scale[rows, None]
+        parts = np.empty((block.shape[0], 2, side))  # rows (i, re / im)
+        parts[:, 0], parts[:, 1] = block.real, block.imag
+        moments += table[:, rows] @ (parts.reshape(-1, side) @ table.T).reshape(-1, 2 * k)
+    moments = moments.reshape(k, 2, k).transpose(1, 0, 2)
     # Odd n: times (-1)^n for the rows and conj(i^(n % 2)), which weight leaves out: i (re + i im).
     moments[:, 1::2] = np.stack([-moments[1, 1::2], moments[0, 1::2]])
     sums = [np.bincount(mode, weight * part.ravel()[flat], order.size) for part in moments]
@@ -232,32 +242,31 @@ def image_spectrum(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> ModeCo
 def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> ComplexField:
     """Coherent sum of coefficient-weighted LG modes at plane +z2.
 
-    The mode weights go into a table of HG weights; two real products per
-    mirror-sign part with the 1-D HG table expand it on the quarter, which
-    is chirped and unfolded onto the window once.
+    The mode weights go into a table of HG weights, which one real product
+    per block of its rows expands over x and which is chirped; one real
+    product per block of window rows then writes the complex raster in
+    place, and the rows are chirped.
     """
     _warn_if_clipped(coeffs.beam, spec, float(z2), coeffs.l_max, coeffs.p_max)
     mode, flat, weight, order, big_k = _lg_to_hg(coeffs.l_max, coeffs.p_max)
     table, chirp, gouy = _hg_tables(coeffs.beam, spec, float(z2), big_k)
+    side, k = spec.side_points, big_k + 1
     # weights[part, n, m]: real and imaginary parts of the HG weights S[m, n] of the field.
     weighted = (coeffs.values * gouy[order]).ravel()
-    weights = np.stack([np.bincount(flat, weight * part[mode], (big_k + 1) ** 2)
-                        for part in (weighted.real, weighted.imag)]).reshape(2, big_k + 1, big_k + 1)
+    weights = np.stack([np.bincount(flat, weight * part[mode], k * k)
+                        for part in (weighted.real, weighted.imag)]).reshape(2, k, k)
     # Odd n: times i^(n % 2), which weight leaves out, and (-1)^n for the rows: -i (re + i im).
     weights[:, 1::2] = np.stack([weights[1, 1::2], -weights[0, 1::2]])
-    # The raster before its scratch parts, so the next call finds the parts' block free.
-    raster = np.empty((spec.side_points,) * 2, dtype=complex)
-    h = table.shape[1]
-    parts = np.empty((2, 2, h, h), dtype=complex)  # indexed [sx, sy] by the mirror signs (-1)^m, (-1)^n
-    for a in (0, 1):
-        for b in (0, 1):
-            block = weights[:, b::2, a::2]
-            kb, ka = block.shape[1:]
-            rows = block.reshape(2 * kb, ka) @ table[a::2]
-            parts[a, b].real = table[b::2].T @ rows[:kb]
-            parts[a, b].imag = table[b::2].T @ rows[kb:]
-    parts *= np.outer(chirp, chirp)
-    return ComplexField._adopt(spec, _unfold(spec.side_points, parts, raster))  # a fresh raster: no copy
+    weights = weights.reshape(2 * k, k)
+    across = np.empty((2 * k, side))  # the real and imaginary parts of sum_m S[m, n] h_m(x), stacked
+    for rows in _row_blocks(2 * k, k * side):
+        np.matmul(weights[rows], table, out=across[rows])
+    across = (across[:k] + 1j * across[k:]) * chirp
+    raster = np.empty((side, side), dtype=complex)
+    for rows in _row_blocks(side, 2 * k * side):
+        np.matmul(table.T[rows], across.view(float), out=raster[rows].view(float))
+        raster[rows] *= chirp[rows, None]
+    return ComplexField._adopt(spec, raster)  # a fresh raster: no copy
 
 
 @functools.lru_cache(maxsize=8)

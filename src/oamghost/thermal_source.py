@@ -241,10 +241,10 @@ def csd_mode_decompose(
     if l_max < 0 or p_max < 0:
         raise ValueError("l_max and p_max must be nonnegative")
     n_modes = (2 * l_max + 1) * (p_max + 1)
-    if not allow_large and (l_max > 6 or p_max > 6 or spec.side_points > 256):
+    if not allow_large and (l_max > 10 or p_max > 10 or spec.side_points > 512):
         raise ValueError(
             f"decomposition over {n_modes} modes on a {spec.side_points}^2 grid exceeds the "
-            "CSD oracle's runtime budget (l_max <= 6, p_max <= 6, side_points <= 256); "
+            "CSD oracle's runtime budget (l_max <= 10, p_max <= 10, side_points <= 512); "
             "lower l_max, p_max or the grid side"
         )
     spread = 2.0 * geometry.sigma_g * geometry.sigma_g  # a product: inf (a kernel of 1), not OverflowError
@@ -260,14 +260,12 @@ def csd_mode_decompose(
     beam = BeamSpec(geometry.matched_waist)  # at z = 0 the modes do not depend on the wavelength
     _warn_if_clipped(beam, spec, 0.0, l_max, p_max)
     mode, flat, weight, order, big_k = _lg_to_hg(l_max, p_max)
-    quarter = _hg_tables(beam, spec, 0.0, big_k)[0]
-    n, h = spec.side_points, quarter.shape[1]
-    parity = np.arange(big_k + 1) % 2
-    # h_m over the whole axis: the quarter's columns, then their mirror images times (-1)^m.
-    table = np.concatenate([quarter, quarter[:, : n - h][:, ::-1] * (1 - 2 * parity)[:, None]], axis=1)
     x = spec.axis()
-    table *= np.exp(-x * x / (4.0 * geometry.sigma_s ** 2))
-    offset = np.arange(n) * spec.pixel_pitch
+    # Row-major (the cached table is column-major), so einsum below sums along contiguous rows.
+    table = np.multiply(_hg_tables(beam, spec, 0.0, big_k)[0], np.exp(-x * x / (4.0 * geometry.sigma_s ** 2)),
+                        order="C")
+    parity = np.arange(big_k + 1) % 2
+    offset = np.arange(spec.side_points) * spec.pixel_pitch
     kernel = np.exp(-((offset[:, None] - offset[None, :]) ** 2) / spread)
     # np.einsum, not a BLAS @: when the caller imported numpy before oamghost,
     # OpenBLAS keeps its thread pool, and its idle worker spins beside a product.

@@ -443,7 +443,7 @@ def test_image_refuses_an_underflowed_capture_before_writing(tmp_path, capsys):
 
 def test_oracle_csd_refuses_a_truncation_over_its_budget(tmp_path, capsys):
     out = tmp_path / "o"
-    assert main(["oracle-csd", "--l-max", "7", "--out", str(out)]) == EXIT_USAGE
+    assert main(["oracle-csd", "--l-max", "11", "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "l_max" in err and "allow_large" not in err  # a CLI user cannot pass allow_large
     assert list(out.iterdir()) == []

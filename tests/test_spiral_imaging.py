@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oamghost import spiral_imaging
 from oamghost.field_grid import (
@@ -312,12 +314,20 @@ def test_render_total_coherent_limit():
                                2.0 * abs(a00) ** 2 * np.abs(mode) ** 2, rtol=1e-10)
 
 
-@pytest.mark.parametrize("z", [0.0, Z2])
-def test_hg_passes_match_pointwise_oracle_at_order_60(z):
+@pytest.mark.parametrize("z,side", [
+    pytest.param(0.0, 112, id="0.0"),
+    pytest.param(Z2, 112, id="0.5"),
+    # Both passes run over blocks of window rows: here 113 rows leave a short last block, 3 rows
+    # (which undersample the modes) are one block, and 512 rows make blocks of a few rows.
+    pytest.param(Z2, 113, id="0.5-113"),
+    pytest.param(Z2, 3, id="0.5-3", marks=pytest.mark.filterwarnings("ignore::oamghost.field_grid.ModeClippedWarning")),
+    pytest.param(Z2, 512, id="0.5-512"),
+])
+def test_hg_passes_match_pointwise_oracle_at_order_60(z, side):
     # At l_max = p_max = 20 the HG tables reach order N = 60; every value is checked per mode
     # against lg_amplitude at every pixel of the window.
     lm = pm = 20
-    spec = default_grid(BEAM, l_max=lm, p_max=pm, side_points=112, z=z)
+    spec = default_grid(BEAM, l_max=lm, p_max=pm, side_points=side, z=z)
     modes = [ModeIndex(20, 20), ModeIndex(-20, 20), ModeIndex(0, 20), ModeIndex(-13, 17), ModeIndex(7, 10)]
     ref = {m: sample(m, spec, z).samples for m in modes}
     for m in modes:
@@ -326,11 +336,30 @@ def test_hg_passes_match_pointwise_oracle_at_order_60(z):
         got = render_pure_image(ModeCoefficients(lm, pm, values, z, BEAM), spec, z).samples
         assert np.max(np.abs(got - ref[m])) <= 1e-12 * np.max(np.abs(ref[m]))
     rng = np.random.default_rng(60)
-    obj = ComplexField(spec, rng.normal(size=(112, 112)) + 1j * rng.normal(size=(112, 112)))
+    obj = ComplexField(spec, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
     coeffs = object_spectrum(obj, BEAM, -z, lm, pm)
     got = np.array([coeffs.value(m.l, m.p) for m in modes])
     expect = np.array([np.vdot(ref[m], obj.samples) * spec.pixel_area for m in modes])
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.filterwarnings("ignore::oamghost.field_grid.ModeClippedWarning")
+@settings(max_examples=40, deadline=None)
+@given(side=st.integers(2, 40), lm=st.integers(0, 6), pm=st.integers(0, 4), z=st.sampled_from([0.0, 0.3, -0.3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_render_pure_image_is_the_adjoint_of_object_spectrum(side, lm, pm, z, seed):
+    # <sum_m c_m LG_m(z) | O> = sum_m conj(c_m) <LG_m(z) | O>, and object_spectrum at -z takes the
+    # overlaps <LG_m(z) | O>: the two passes are adjoint on every window and at every plane.
+    rng = np.random.default_rng(seed)
+    spec = default_grid(BEAM, l_max=lm, p_max=pm, side_points=side, z=z)
+    shape = (2 * lm + 1, pm + 1)
+    coeffs = ModeCoefficients(lm, pm, rng.normal(size=shape) + 1j * rng.normal(size=shape), z, BEAM)
+    obj = ComplexField(spec, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+    pure = render_pure_image(coeffs, spec, z).samples
+    overlaps = object_spectrum(obj, BEAM, -z, lm, pm).values
+    lhs = np.vdot(pure, obj.samples) * spec.pixel_area
+    rhs = np.vdot(coeffs.values, overlaps)
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(coeffs.values) * np.linalg.norm(overlaps)
 
 
 @pytest.mark.parametrize("z,side", [(0.0, 80), (Z2, 80), (0.0, 81), (Z2, 81)],

@@ -201,11 +201,13 @@ def test_csd_decomposition_selection_rule_small():
 def test_csd_decomposition_budget_refusal():
     geo = source_geometry(SIGMA_S, 2.0 * SIGMA_S)
     with pytest.raises(ValueError):
-        csd_mode_decompose(geo, 7, 0, GridSpec(64, 1e-2))
+        csd_mode_decompose(geo, 11, 0, GridSpec(64, 1e-2))
     with pytest.raises(ValueError):
-        csd_mode_decompose(geo, 0, 0, GridSpec(512, 1e-2))
+        csd_mode_decompose(geo, 0, 11, GridSpec(64, 1e-2))
+    with pytest.raises(ValueError):
+        csd_mode_decompose(geo, 0, 0, GridSpec(513, 1e-2))
     # allow_large overrides the refusal
-    tensor = csd_mode_decompose(geo, 0, 0, GridSpec(300, 2e-2), allow_large=True)
+    tensor = csd_mode_decompose(geo, 0, 0, GridSpec(513, 2e-2), allow_large=True)
     assert tensor.coefficient(0, 0, 0, 0).real > 0
 
 
