@@ -184,9 +184,10 @@ def _check_truncation(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> Non
 def _row_blocks(rows: int, per_row: int) -> list[slice]:
     """Slices of at most max(1, 262144 // per_row) rows that cover range(rows).
 
-    The coherent passes' one block rule: per_row is m n k of a block's
-    largest product per row it holds, so no product exceeds m n k = 262144,
-    the size up to which OpenBLAS runs it on one thread (README, "Threads").
+    The coherent passes' one block rule: per_row is the m n k that one row
+    of a block adds to the largest product run on the block, so no product
+    exceeds m n k = 262144, the size up to which OpenBLAS runs it on one
+    thread (README, "Threads").
     """
     step = max(1, 262144 // per_row)
     return [slice(start, start + step) for start in range(0, rows, step)]
@@ -258,7 +259,7 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
     # Odd n: times i^(n % 2), which weight leaves out, and (-1)^n for the rows: -i (re + i im).
     weights[:, 1::2] = np.stack([weights[1, 1::2], -weights[0, 1::2]])
     weights = weights.reshape(2 * k, k)
-    across = np.empty((2 * k, side))  # the real and imaginary parts of sum_m S[m, n] h_m(x), stacked
+    across = np.empty((2 * k, side))  # rows (part, n): sum_m weights[part, n, m] h_m(x)
     for rows in _row_blocks(2 * k, k * side):
         np.matmul(weights[rows], table, out=across[rows])
     across = (across[:k] + 1j * across[k:]) * chirp
