@@ -155,6 +155,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep 2 for verify failures
         raise UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # Python before 3.13 drops a '--' given as an option's own value, so
+        # `--out=--` would set out to []; only a lone '--' ends the options.
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 RunConfig = make_dataclass(
     "RunConfig",

@@ -110,6 +110,15 @@ def test_flag_and_config_line_share_one_parser(tmp_path_factory, key, data):
     assert _resolve(["spectrum", *flagged]) == _resolve(["spectrum", "--config", str(cfg)])
 
 
+def test_an_option_value_of_two_dashes_is_kept():
+    c = parse_config(["spectrum", "--out=--", "--out-prefix=--", "--object=--"])
+    assert (c.out, c.out_prefix, c.object_path) == ("--", "--", "--")
+    with pytest.raises(UsageError, match="suite"):
+        parse_config(["spectrum", "--suite=--"])
+    with pytest.raises(UsageError, match="expected one argument"):
+        parse_config(["spectrum", "--out", "--"])  # a lone '--' still ends the options
+
+
 def test_config_out_none_is_a_directory(tmp_path, monkeypatch, capsys):
     # `none` unsets only out_prefix, object_path and phase_path
     monkeypatch.chdir(tmp_path)
