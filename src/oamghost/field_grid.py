@@ -121,12 +121,15 @@ class GridSpec:
         return np.hypot(x, y), np.arctan2(y, x)
 
 
-def _frozen_samples(spec: GridSpec, arr: np.ndarray) -> np.ndarray:
-    """arr, checked against the window and finiteness, made read-only in place."""
+def _frozen_samples(spec: GridSpec, arr: np.ndarray, finite: bool = False) -> np.ndarray:
+    """arr, checked against the window and finiteness, made read-only in place.
+
+    finite=True skips the finiteness scan, for a raster its maker has proven finite.
+    """
     n = spec.side_points
     if arr.shape != (n, n):
         raise ValueError(f"samples shape {arr.shape} does not match grid ({n}, {n})")
-    if not np.isfinite(arr).all():
+    if not (finite or np.isfinite(arr).all()):
         raise ValueError("field samples must be finite")
     arr.flags.writeable = False
     return arr
@@ -144,11 +147,14 @@ class ComplexField:
         object.__setattr__(self, "samples", _frozen_samples(self.spec, arr))
 
     @classmethod
-    def _adopt(cls, spec: GridSpec, samples: np.ndarray) -> "ComplexField":
-        """Field over a fresh complex128 raster that no caller holds: checked and frozen, not copied."""
+    def _adopt(cls, spec: GridSpec, samples: np.ndarray, finite: bool = False) -> "ComplexField":
+        """Field over a fresh complex128 raster that no caller holds: checked and frozen, not copied.
+
+        finite=True, from a caller that has bounded every sample, skips the finiteness scan.
+        """
         field = object.__new__(cls)
         object.__setattr__(field, "spec", spec)
-        object.__setattr__(field, "samples", _frozen_samples(spec, samples))
+        object.__setattr__(field, "samples", _frozen_samples(spec, samples, finite))
         return field
 
     def norm(self) -> float:
@@ -462,8 +468,13 @@ def _mode_norms(beam: BeamSpec, spec: GridSpec, z_abs: float, l_max: int, p_max:
     return norms
 
 
+@functools.lru_cache(maxsize=16)
 def _worst_norm_defect(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int):
-    """(|norm^2 - 1|, "LG(+-l, p)") of the lattice's worst-sampled mode on the window at plane z."""
+    """(|norm^2 - 1|, "LG(+-l, p)") of the lattice's worst-sampled mode on the window at plane z.
+
+    Cached like _mode_norms, so a pass that calls _warn_if_clipped again pays no scan of the norms;
+    the warning itself is issued on every call.
+    """
     defects = np.abs(_mode_norms(beam, spec, abs(float(z)), l_max, p_max) - 1.0)
     l, p = np.unravel_index(np.argmax(defects), defects.shape)
     return float(defects[l, p]), f"LG({'+-' if l else ''}{l}, {p})"

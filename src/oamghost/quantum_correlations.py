@@ -11,12 +11,13 @@ and a dense local-basis search oracle for small d.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .thermal_source import SourceGeometry, SpiralSpectrum, full_lattice_sums, source_geometry
+from .thermal_source import SourceGeometry, SpiralSpectrum, _beta_and_t, _check_widths, full_lattice_sums
 
 __all__ = [
     "DENSE_VIEW_MAX_DIM",
@@ -231,8 +232,14 @@ def discord_limit(geometry: SourceGeometry) -> float:
     Maximal (1/64) at x = sqrt(2); 0 in the coherent limit sigma_g = inf. The
     negative power underflows to 0 where the fourth power would overflow.
     """
-    x = geometry.sigma_g / geometry.sigma_s
-    return (x + 2.0 / x) ** -4
+    return float(_limit_at_ratio(geometry.sigma_g / geometry.sigma_s)[0])
+
+
+def _limit_at_ratio(x) -> np.ndarray:
+    """(x + 2/x)^-4 as an array over x (a float or an array), through array ufuncs for a float too."""
+    x = np.array(x, dtype=float, ndmin=1)
+    with np.errstate(divide="ignore", over="ignore"):  # x = 0 or subnormal: 2/x = inf, the limit 0
+        return (x + 2.0 / x) ** -4
 
 
 def brute_force_discord(
@@ -277,23 +284,35 @@ def brute_force_discord(
     herm = np.concatenate([blocks + adjoint, (blocks - adjoint) / 1j]) / 2.0
     purity = float(np.sum(np.abs(rho) ** 2))  # tr rho^2, rho Hermitian
     rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(dim_b), 2))  # np.triu_indices(dim_b, 1) order
+    g = np.empty((3, herm.shape[0]))  # per part: h_jj - h_kk, 2 Re h_jk, -2 Im h_jk of the pair (j, k)
     best = 0.0
     for attempt in range(max(restarts, 0) + 1):
         u = np.linalg.qr(rng.normal(size=(dim_b, dim_b, 2)) @ [1.0, 1j])[0] if attempt else np.eye(dim_b)
-        h = np.einsum("bk,mbl->mkl", u.conj(), np.einsum("mbc,cl->mbl", herm, u))
-        value = float(np.sum(np.diagonal(h, 0, 1, 2).real ** 2))
+        # h[k, l] is the contiguous vector of <k|U^dag H U|l> over the Hermitian parts H, so a
+        # rotation updates two rows and two columns of contiguous vectors in place.
+        h = np.ascontiguousarray(np.einsum("bk,mbl->klm", u.conj(), np.einsum("mbc,cl->mbl", herm, u)))
+        re, im = h.real, h.imag
+        value = float(np.sum(np.diagonal(h).real ** 2))
         for _ in range(iterations):
             previous = value
-            for j, k in zip(*np.triu_indices(dim_b, 1)):
-                g = np.stack([(h[:, j, j] - h[:, k, k]).real, 2.0 * h[:, j, k].real, -2.0 * h[:, j, k].imag])
-                top = np.linalg.eigh(np.einsum("im,jm->ij", g, g))[1][:, -1]
-                x, y, z = top if top[0] >= 0.0 else -top
+            for j, k in pairs:
+                np.subtract(re[j, j], re[k, k], out=g[0])
+                np.multiply(re[j, k], 2.0, out=g[1])
+                np.multiply(im[j, k], -2.0, out=g[2])
+                x, y, z = np.linalg.eigh(np.einsum("im,jm->ij", g, g))[1][:, -1].tolist()
+                if x < 0.0:
+                    x, y, z = -x, -y, -z
                 c = math.sqrt((1.0 + x) / 2.0)
-                s = (y + 1j * z) / (2.0 * c)
-                rot = np.array([[c, -np.conj(s)], [s, c]])
-                h[:, :, [j, k]] = np.einsum("mab,bc->mac", h[:, :, [j, k]], rot)
-                h[:, [j, k], :] = np.einsum("ba,mbc->mac", rot.conj(), h[:, [j, k], :])
-            value = float(np.sum(np.diagonal(h, 0, 1, 2).real ** 2))
+                s = complex(y, z) / (2.0 * c)
+                # h <- R^dag h R with R = [[c, -conj(s)], [s, c]] on (j, k): columns, then rows.
+                for first, second, phase in ((h[:, j], h[:, k], s), (h[j], h[k], s.conjugate())):
+                    turned = first * c
+                    turned += second * phase
+                    second *= c
+                    second -= first * phase.conjugate()
+                    first[...] = turned
+            value = float(np.sum(np.diagonal(h).real ** 2))
             if value - previous <= 1e-14 * purity:
                 break
         best = max(best, value)
@@ -305,34 +324,48 @@ def _truncated_sums(t: np.ndarray, l_max: int, p_max: int, k: int) -> np.ndarray
 
     The lattice sum factorises as sum_l t^(k|l|) * sum_p t^(2kp); both are
     summed term by term, which stays exact as t -> 1 where the geometric-series
-    closed form would cancel.
+    closed form would cancel. The powers are running products of t^k and
+    t^(2k), so the term of order j carries about j eps relative error: at most
+    about max(l_max, p_max) eps, against one rounding for a pow per term.
     """
-    ls = np.abs(np.arange(-l_max, l_max + 1))
-    ps = np.arange(p_max + 1)
-    tt = t[:, None]
-    return (1.0 - t * t) ** k * np.sum(tt ** (k * ls), axis=1) * np.sum(tt ** (2 * k * ps), axis=1)
+    base = t ** k
+    return ((1.0 - t * t) ** k * (1.0 + 2.0 * _running_powers(base, l_max)[1:].sum(axis=0))
+            * _running_powers(base * base, p_max).sum(axis=0))
+
+
+def _running_powers(base: np.ndarray, n: int) -> np.ndarray:
+    """(n + 1, len(base)) powers base^0 ... base^n, each row the previous times base."""
+    powers = np.empty((n + 1, base.size))
+    powers[0] = 1.0
+    for j in range(n):  # row by row: np.cumprod along this axis runs about 5x slower
+        np.multiply(powers[j], base, out=powers[j + 1])
+    return powers
 
 
 def discord_curve(sigma_s: float, sigma_g_values, dimension_list) -> list[tuple]:
     """Rows (sigma_g/sigma_s, L, P, d, D_rho, D_rhoQ, D_inf) per sample and truncation.
 
     D_rho and D_rhoQ are geometric_discord_thermal and geometric_discord_pure
-    of build_spectrum's table, computed for all samples at once from the
-    three spectrum sums.
+    of build_spectrum's table and D_inf is discord_limit, all computed for
+    the whole sweep at once: t and D_inf by the formulas that source_geometry
+    and discord_limit apply to one sample (so bit for bit the same), and the
+    three spectrum sums by _truncated_sums, whose running-product powers are
+    off by about max(L, P) eps relative per term. The widths are checked as
+    source_geometry checks them. Rows hold Python ints and floats.
     """
-    sigma_gs = [float(sigma_g) for sigma_g in sigma_g_values]
-    geometries = [source_geometry(sigma_s, sigma_g) for sigma_g in sigma_gs]
-    t = np.array([geometry.t for geometry in geometries])
+    sigma_gs = np.fromiter(sigma_g_values, dtype=float)
+    _check_widths(sigma_s, sigma_gs)
+    _, t = _beta_and_t(sigma_s, sigma_gs)
+    ratios = sigma_gs / sigma_s
+    d_inf = _limit_at_ratio(ratios).tolist()
     columns = []
     for l_max, p_max in dimension_list:
         if l_max < 0 or p_max < 0:
             raise ValueError("l_max and p_max must be nonnegative")
         s1, s2, s4 = (_truncated_sums(t, l_max, p_max, k) for k in (1, 2, 4))
         d = (2 * l_max + 1) * (p_max + 1)
-        columns.append((l_max, p_max, d, discord_from_sums(s1, s2, s4), 1.0 - s4 / (s2 * s2)))
-    rows = []
-    for i, (sigma_g, geometry) in enumerate(zip(sigma_gs, geometries)):
-        d_inf = discord_limit(geometry)
-        for l_max, p_max, d, d_rho, d_rho_q in columns:
-            rows.append((sigma_g / sigma_s, l_max, p_max, d, float(d_rho[i]), float(d_rho_q[i]), d_inf))
-    return rows
+        d_rho, d_rho_q = discord_from_sums(s1, s2, s4), 1.0 - s4 / (s2 * s2)
+        columns.append((l_max, p_max, d, d_rho.tolist(), d_rho_q.tolist()))
+    return [(ratio, l_max, p_max, d, d_rho[i], d_rho_q[i], d_inf[i])
+            for i, ratio in enumerate(ratios.tolist())
+            for l_max, p_max, d, d_rho, d_rho_q in columns]

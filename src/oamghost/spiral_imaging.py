@@ -267,7 +267,10 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
     for rows in _row_blocks(side, 2 * k * side):
         np.matmul(table.T[rows], across.view(float), out=raster[rows].view(float))
         raster[rows] *= chirp[rows, None]
-    return ComplexField._adopt(spec, raster)  # a fresh raster: no copy
+    # |raster| <= max|table| sum_n max_x |across[n]| max|chirp| in O(K N): far below overflow, the
+    # raster is finite and needs no scan; an inf or NaN in the inputs makes the bound fail the test.
+    bound = np.abs(table).max() * np.abs(across).max(axis=1).sum() * np.abs(chirp).max()
+    return ComplexField._adopt(spec, raster, finite=bool(bound < 1e300))  # a fresh raster: no copy
 
 
 @functools.lru_cache(maxsize=8)

@@ -51,14 +51,35 @@ class SourceGeometry:
     matched_waist: float
 
 
-def source_geometry(sigma_s: float, sigma_g: float = math.inf) -> SourceGeometry:
-    """Build the derived geometry for the given source widths."""
+def _check_widths(sigma_s: float, sigma_g) -> None:
+    """Refuse sigma_s unless positive and finite, and sigma_g (a float or an array) unless positive."""
     if not (sigma_s > 0 and math.isfinite(sigma_s)):
         raise ValueError(f"sigma_s must be positive and finite, got {sigma_s}")
-    if not sigma_g > 0:
-        raise ValueError(f"sigma_g must be positive (inf allowed), got {sigma_g}")
-    beta = math.atan(2.0 * sigma_s / sigma_g)  # 0 in the coherent limit sigma_g = inf
-    t = math.tan(0.5 * beta) ** 2
+    bad = np.flatnonzero(~(np.asarray(sigma_g) > 0))  # NaN fails too; inf is the coherent limit
+    if bad.size:
+        raise ValueError(f"sigma_g must be positive (inf allowed), got {np.ravel(sigma_g)[bad[0]]}")
+
+
+def _beta_and_t(sigma_s: float, sigma_g) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, t) as arrays over sigma_g, a float or an array, with tan(beta) = 2 sigma_s / sigma_g
+    and t = tan^2(beta/2).
+
+    A float goes through the same array ufuncs as a sweep, so source_geometry
+    and discord_curve get the same bits for the same widths. beta is 0 in the
+    coherent limit sigma_g = inf. A tiny sigma_g (1e-300, or a subnormal one
+    whose ratio overflows to inf) puts beta at pi/2 to rounding, where
+    t = tan^2(pi/4) rounds to 1 - eps, not to 1.
+    """
+    sigma_g = np.array(sigma_g, dtype=float, ndmin=1)
+    with np.errstate(over="ignore"):
+        beta = np.arctan(2.0 * sigma_s / sigma_g)
+    return beta, np.tan(0.5 * beta) ** 2
+
+
+def source_geometry(sigma_s: float, sigma_g: float = math.inf) -> SourceGeometry:
+    """Build the derived geometry for the given source widths."""
+    _check_widths(sigma_s, sigma_g)
+    beta, t = (float(v[0]) for v in _beta_and_t(sigma_s, sigma_g))
     waist = 2.0 * sigma_s * math.sqrt(math.cos(beta))
     return SourceGeometry(sigma_s, sigma_g, beta, t, waist)
 

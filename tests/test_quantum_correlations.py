@@ -287,6 +287,35 @@ def test_brute_force_random_pure_state():
     assert got == pytest.approx(expect, abs=1e-5)
 
 
+def _random_mixed(dim_a, dim_b, rng):
+    """Trace-normalized random full-rank state on dim_a x dim_b."""
+    n = dim_a * dim_b
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_brute_force_matches_recorded_gather_and_einsum_search():
+    # Values recorded from the search that rotated gathered column and row pairs with einsum
+    # and scattered them back. The in-place slice rotations run the same rotations in the same
+    # order with the same stopping rule, so cut-short, converged and restarted searches agree
+    # to roundoff.
+    rng = np.random.default_rng(20)
+    five = {"restarts": 0, "iterations": 5}
+    cases = [
+        (lambda: _rotated_thermal(0.4 * SIGMA_S, 1, rng)[0], 2, five, 0.037211729956535544),
+        (lambda: _rotated_thermal(1.2 * SIGMA_S, 1, rng)[0], 2, five, 0.004260145296774098),
+        (lambda: _rotated_thermal(0.4 * SIGMA_S, 3, rng)[0], 4, five, 0.028511958794803227),
+        (lambda: _rotated_thermal(1.2 * SIGMA_S, 3, rng)[0], 4, five, 0.004207509057979175),
+        (lambda: _rotated_thermal(0.7 * SIGMA_S, 3, rng)[0], 4, {"restarts": 0}, 0.016984448712629496),
+        (lambda: _random_mixed(2, 3, rng), 3, {"restarts": 0, "iterations": 50}, 0.031254530621789234),
+        (lambda: _random_mixed(2, 2, rng), 2, {"restarts": 3, "seed": 5}, 0.059317746553428974),
+        (lambda: _random_mixed(3, 3, rng), 3, dict(restarts=2, iterations=30, seed=7), 0.04984423765970572),
+    ]
+    for make, dim_b, options, recorded in cases:  # in order: the states share one generator
+        assert abs(brute_force_discord(make(), dim_b, **options) - recorded) <= 1e-12
+
+
 def test_brute_force_leaves_scipy_optimize_and_linalg_unloaded():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oamghost.__file__)))
     code = (
@@ -326,3 +355,46 @@ def test_discord_curve_matches_per_table_discord(dims):
         assert row[1:4] == (l_max, p_max, spec.d)
         assert abs(row[4] - geometric_discord_thermal(spec)) <= 1e-14
         assert abs(row[5] - geometric_discord_pure(spec)) <= 1e-14
+
+
+def test_discord_curve_coherent_and_subnormal_widths_keep_the_per_sample_rows():
+    # sigma_g = inf is the coherent limit t = 0, where every discord is 0. At 1e-300 and 5e-324
+    # beta rounds to pi/2 and t to 1 - eps, not 1: values recorded from the
+    # per-sample route (a source_geometry and a discord_limit call per sample).
+    dims = [(0, 0), (2, 3), (60, 60)]
+    rows = discord_curve(SIGMA_S, [math.inf, 1e-300, 5e-324], dims)
+    deep = (0.00215419501133787, 0.95, 0.0), (1.8348183496624637e-08, 0.9998645170031161, 0.0)
+    expect = [(math.inf, 0, 0, 1, 0.0, 0.0, 0.0), (math.inf, 2, 3, 20, 0.0, 0.0, 0.0),
+              (math.inf, 60, 60, 7381, 0.0, 0.0, 0.0)]
+    for ratio in (1e-297, 4.94e-321):
+        expect += [(ratio, 0, 0, 1, 0.0, 0.0, 0.0), (ratio, 2, 3, 20, *deep[0]),
+                   (ratio, 60, 60, 7381, *deep[1])]
+    assert len(rows) == len(expect)
+    for row, want in zip(rows, expect):
+        assert row[:4] == want[:4]
+        assert row[4:] == pytest.approx(want[4:], rel=1e-12, abs=1e-15)
+
+
+def test_discord_curve_rows_hold_python_numbers():
+    rows = discord_curve(SIGMA_S, np.linspace(3e-4, 3e-3, 5), [(0, 0), (3, 2)])
+    rows += discord_curve(SIGMA_S, (g for g in [math.inf, 1e-3]), [(1, 1)])
+    for row in rows:
+        assert [type(v) for v in row] == [float, int, int, int, float, float, float]
+
+
+@pytest.mark.parametrize("sigma_s, sigma_gs", [
+    (SIGMA_S, [1e-3, 0.0]),
+    (SIGMA_S, [1e-3, 2e-3, -1e-3]),
+    (SIGMA_S, [math.nan, 1e-3]),
+    (0.0, [1e-3]),
+    (-1e-3, [1e-3]),
+    (math.inf, [1e-3]),
+    (math.nan, [1e-3]),
+])
+def test_discord_curve_refuses_widths_as_source_geometry_does(sigma_s, sigma_gs):
+    with pytest.raises(ValueError) as sweep:
+        discord_curve(sigma_s, sigma_gs, [(1, 1)])
+    with pytest.raises(ValueError) as single:
+        for sigma_g in sigma_gs:
+            source_geometry(sigma_s, sigma_g)
+    assert str(sweep.value) == str(single.value)

@@ -261,6 +261,19 @@ def test_render_pure_image_samples_are_read_only():
         field.samples[0, 0] = 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_render_pure_image_scans_a_raster_it_cannot_bound():
+    # Rasters bounded far below overflow skip the finiteness scan; these are not, so they are
+    # scanned: a finite raster above 1e300 passes, and one that overflows is refused.
+    spec = small_grid(32)
+    big = render_pure_image(ModeCoefficients(3, 3, np.full((7, 4), 1e300 + 0j), Z1, BEAM), spec, Z2)
+    assert np.abs(big.samples).max() > 1e300
+    for scale in (1e305, 1e308):
+        coeffs = ModeCoefficients(3, 3, np.full((7, 4), scale + 0j), Z1, BEAM)
+        with pytest.raises(ValueError, match="field samples must be finite"):
+            render_pure_image(coeffs, spec, Z2)
+
+
 def test_render_total_two_term_identity():
     spec = small_grid(96)
     obj = clover_object(spec, 8e-4)
