@@ -397,6 +397,9 @@ def _run_image(config: RunConfig) -> int:
     print(f"grid: {spec.side_points} points over {spec.extent:.6e} m")
     print(f"object power {obj_power:.6e}, captured fraction {capture:.4f}")
     print(f"worst mode norm on the window: |norm^2 - 1| = {defect:.3g} at {mode}")
+    if capture > 1.0:  # orthonormal modes capture at most all of the object's power
+        print(f"warning: captured fraction {capture:.4f} exceeds 1: the modes are not orthonormal {window}"
+              f" (|norm^2 - 1| = {defect:.3g} at {mode}); refine grid or widen extent", file=sys.stderr)
     print(f"background weight = {result.background_weight:.6e}")
     print(f"wrote {len(emitted)} files under {config.out!r} with prefix {config.out_prefix!r}")
     _write_manifest(replace(config, extent=spec.extent), emitted)

@@ -5,22 +5,14 @@ at pixel centers, with row 0 at the top of the window (largest y). Discrete
 inner products use the midpoint rule, so a mode that fits inside the window has
 unit discrete norm.
 
-There are three LG evaluators:
+There are two LG evaluators:
 
 - lg_amplitude evaluates one mode at arbitrary polar points and serves as
   the independent pointwise oracle;
-- _lg_blocks, the radial engine, serves the mode norms (_mode_norms), the
-  background profile and iter_lg_rasters;
-- the HG tables (_lg_to_hg, _hg_tables) serve the two coherent passes,
-  object_spectrum and render_pure_image, and the CSD quadrature.
-
-_lg_blocks uses that an LG mode factors as radial(|l|, p) x exp(i l phi) x
-curvature chirp x Gouy phase, so one radial stack per |l| serves every p
-and both signs of l. Everything but exp(i l phi) depends on the pixel
-radius alone, and on a centred square grid the radius takes few values:
-r^2 = key (pitch/2)^2 with the integer key (2i-N+1)^2 + (2j-N+1)^2. The
-engine builds the radial stack and the chirp over these shells and gathers
-them back through a per-pixel shell index (_shells, cached per grid).
+- the HG tables (_lg_to_hg, _hg_tables) serve everything else: the rasters
+  of render_pure_image and iter_lg_rasters (one synthesis path, _hg_raster),
+  object_spectrum, the mode norms (_mode_norms), the background profile and
+  the CSD quadrature.
 
 The HG tables use that an LG mode of order N = 2p + |l| is a fixed unitary
 mix of the Hermite-Gaussian products h_{N-k}(x) h_k(y), whose chirp factors
@@ -29,25 +21,15 @@ a small (K + 1)^2 table of HG weights, K = 2 p_max + l_max, contracted with
 one 1-D table h_m(x) over the whole axis: real matrix products, pointwise
 exact on the same pixels. The table's columns past the quarter are the
 mirror images of its own, since h_m(-x) = (-1)^m h_m(x), and window row i
-sits at y = -x_i, so the same table serves the rows.
+sits at y = -x_i, so the same table serves the rows. Every product follows
+one block rule (_row_blocks).
 
-The radial engine works on one quarter of the window only, the
-ceil(N/2)^2 block of rows and columns 0 ... ceil(N/2) - 1 (x <= 0, y >= 0),
-which already holds every shell: 20,604 shells cover the 65,536 quarter
-pixels of a 512^2 window. The other three quarters are mirror images.
-Mirroring x -> -x maps exp(i l phi) to (-1)^l exp(-i l phi), and y -> -y
-maps it to exp(-i l phi), so with a radial factor S(r) the parts
-S cos(l phi) and i S sin(l phi) of a mode each have a fixed sign under each
-mirror:
-
-    part         x-mirror     y-mirror
-    cos(l phi)   (-1)^l       +1
-    sin(l phi)   -(-1)^l      -1
-
-iter_lg_rasters puts each part in the _unfold slot of its signs by this
-table, and _unfold writes the quarter parts of each sign pair onto the
-window; render_background pads its even quarter. For odd N the centre row
-and column are their own mirror images.
+On a centred square grid the pixel radius takes few values:
+r^2 = key (pitch/2)^2 with the integer key (2i-N+1)^2 + (2j-N+1)^2, and the
+quarter of the window (rows and columns 0 ... ceil(N/2) - 1) holds every
+one (_shells): 20,604 shells cover the 65,536 quarter pixels of a 512^2
+window. The background, radial and even under both mirrors, is evaluated
+on these shells, gathered onto the quarter and padded out by reflection.
 """
 
 from __future__ import annotations
@@ -248,17 +230,15 @@ def lg_amplitude(mode: ModeIndex, beam: BeamSpec, radius, azimuth, z: float = 0.
 
 @functools.lru_cache(maxsize=4)
 def _shells(spec: GridSpec):
-    """Radius shells of the window's quarter: (r2, inverse, eiphi), all read-only.
+    """Radius shells of the window's quarter: (r2, inverse), both read-only.
 
     - r2: the (S,) distinct squared pixel radii key (pitch/2)^2, ascending;
-    - inverse: the (h, h) shell index of each quarter pixel, h = ceil(N/2);
-    - eiphi: the (h, h) per-pixel exp(i phi) of the quarter.
+    - inverse: the (h, h) shell index of each quarter pixel, h = ceil(N/2).
 
     The quarter is rows and columns 0 ... h - 1 of the window; it holds
     every shell of the window. The keys are marked in a boolean table of
     every possible key, so the index is a cumulative count and nothing is
-    sorted. Cached per grid: a job that runs several engine passes on one
-    window builds this once.
+    sorted. Cached per grid: the background profile and its gather share it.
     """
     n = spec.side_points
     h = (n + 1) // 2
@@ -268,91 +248,36 @@ def _shells(spec: GridSpec):
     present[keys] = True
     r2 = np.flatnonzero(present) * (0.5 * spec.pixel_pitch) ** 2
     inverse = (np.cumsum(present) - 1)[keys]
-    eiphi = np.exp(1j * spec.polar()[1][:h, :h])
-    for arr in (r2, inverse, eiphi):
+    for arr in (r2, inverse):
         arr.flags.writeable = False
-    return r2, inverse, eiphi
+    return r2, inverse
 
 
-def _unfold(n: int, parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(n, n) raster from (2, 2, h, h) quarter parts indexed [sx, sy], 0 for the sign +1 and 1 for -1.
+def _row_blocks(rows: int, per_row: int) -> list[slice]:
+    """Slices of at most max(1, 262144 // per_row) rows that cover range(rows).
 
-    Each part holds terms of mirror signs sx under x -> -x and sy under
-    y -> -y; the quarter gets their sum and each mirror image of a quarter
-    pixel (column N - 1 - j, row N - 1 - i or both) their signed sum. For
-    odd N the centre row and column are written once. The sums
-    are taken in place, in parts and in the raster's own quarter, so parts
-    is overwritten. The raster is out if given, else the only array allocated.
+    The package's one block rule: per_row is the m n k that one row of a
+    block adds to the largest product run on the block, so no product
+    exceeds m n k = 262144, the size up to which OpenBLAS runs it on one
+    thread (README, "Threads").
     """
-    h = parts.shape[-1]
-    m = n - h
-    flip = slice(None, h - 1, -1)  # N - 1 ... h, the images of 0 ... m - 1
-    if out is None:
-        out = np.empty((n, n), dtype=parts.dtype)
-    (pp, pm), (mp, mm) = parts  # views of the parts of signs [sx, sy] = ++, +-, -+, --
-    even = np.add(pp, pm, out=out[:h, :h])  # even under x -> -x
-    even_y = np.subtract(pp, pm, out=pp)  # the same at the y-images
-    odd = np.add(mp, mm, out=pm)  # odd under x -> -x
-    odd_y = np.subtract(mp, mm, out=mp)  # the same at the y-images
-    np.subtract(even[:, :m], odd[:, :m], out=out[:h, flip])
-    even += odd
-    np.add(even_y[:m], odd_y[:m], out=out[flip, :h])
-    np.subtract(even_y[:m, :m], odd_y[:m, :m], out=out[flip, flip])
+    step = max(1, 262144 // per_row)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _hermite(x: np.ndarray, w: float, big_k: int, out: np.ndarray) -> np.ndarray:
+    """out, a (K + 1, len(x)) array, filled with h_m(x) = (2/w^2)^(1/4) psi_m(sqrt(2) x / w).
+
+    The Hermite functions psi_m come from their normalised three-term recurrence, which stays
+    bounded at every order.
+    """
+    t = math.sqrt(2.0) / w * x
+    out[0] = (2.0 / (math.pi * w * w)) ** 0.25 * np.exp(-0.5 * t * t)
+    for m in range(big_k):
+        nxt = np.multiply(math.sqrt(2.0 / (m + 1)) * t, out[m], out=out[m + 1])
+        if m:
+            nxt -= math.sqrt(m / (m + 1.0)) * out[m - 1]
     return out
-
-
-def _lg_blocks(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max: int):
-    """Separable LG engine: yield one block per |l| = 0, 1, ..., l_max.
-
-    Each block is (radial, harmonic, gouy, chirp, inverse). Over the S radius
-    shells of the window and its (h, h) quarter (see _shells),
-
-        LG(+-|l|, p) = (radial[p] * gouy[p] * chirp)[inverse]
-                       * (harmonic or conj(harmonic))
-
-    on the quarter; the rest of the window follows by the mirror signs in
-    the module docstring.
-
-    - radial: real (p_max + 1, S) normalized radial factors, built with the
-      three-term Laguerre recurrence (Abramowitz & Stegun 22.7.12) with the
-      normalization carried inside it, so nothing overflows;
-    - harmonic: the quarter's exp(i |l| phi), by repeated multiplication;
-    - gouy: the (p_max + 1,) Gouy phases exp(-i (2p + |l| + 1) arctan(z/zR));
-    - chirp: the (S,) curvature phase exp(i k rho^2 / 2R(z)), 1 at z = 0;
-    - inverse: the read-only quarter shell index, the same in every block.
-
-    Work on the shells, then gather through inverse once per quarter pixel.
-    The radial and harmonic buffers are overwritten by the next block; copy
-    what must outlive it. The engine does not judge its window; its callers
-    do, from the modes' measured norms (_warn_if_clipped).
-    """
-    r2, inverse, eiphi = _shells(spec)
-    w = beam.width(z)
-    zr = beam.rayleigh_range
-    # 1 / R(z) = z / (z^2 + zR^2) has no division by z, so the chirp is 1 at z = 0.
-    chirp = np.exp(1j * (beam.wavenumber * z / (2.0 * (z * z + zr * zr))) * r2)
-    psi = math.atan2(z, zr)
-    x = 2.0 * r2 / (w * w)
-    sqrt_x = np.sqrt(x)
-    orders = 2 * np.arange(p_max + 1) + 1
-
-    radial = np.empty((p_max + 1, x.size))
-    scaled = np.empty_like(x)  # sqrt(p (p + a)) radial[p - 1], reused at every step
-    u0 = math.sqrt(2.0 / math.pi) / w * np.exp(-0.5 * x)
-    harmonic = np.ones_like(eiphi)
-    for a in range(l_max + 1):
-        if a:
-            u0 *= sqrt_x
-            u0 /= math.sqrt(a)
-            harmonic *= eiphi
-        radial[0] = u0
-        for p in range(p_max):
-            nxt = np.subtract(2 * p + 1 + a, x, out=radial[p + 1])
-            nxt *= radial[p]
-            if p:
-                nxt -= np.multiply(math.sqrt(p * (p + a)), radial[p - 1], out=scaled)
-            nxt /= math.sqrt((p + 1) * (p + 1 + a))
-        yield radial, harmonic, np.exp(-1j * (orders + a) * psi), chirp, inverse
 
 
 @functools.lru_cache(maxsize=8)
@@ -383,8 +308,10 @@ def _lg_to_hg(l_max: int, p_max: int):
     half = order // 2
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(big_k + 1)])
     d = np.zeros((l.size, big_k // 2 + 1))  # d_k up to each row's middle N // 2
+    # log C(N, n+) with its two factorials summed first, the same bits for l and -l: the recurrence
+    # then gives d_k(-l) = (-1)^k d_k(l) exactly, so at the waist LG(-l, p) is exactly conj LG(l, p).
     d[:, 0] = np.where(p % 2, -1.0, 1.0) * np.exp(
-        0.5 * (log_fact[order] - log_fact[n_plus] - log_fact[order - n_plus] - order * math.log(2.0)))
+        0.5 * (log_fact[order] - (log_fact[n_plus] + log_fact[order - n_plus]) - order * math.log(2.0)))
     for k in range(big_k // 2):  # all orders at once; rows whose middle is passed stay 0
         step = l * d[:, k]
         if k:
@@ -408,41 +335,64 @@ def _lg_to_hg(l_max: int, p_max: int):
 
 
 @functools.lru_cache(maxsize=16)
+def _axis_table(spec: GridSpec, w: float, big_k: int) -> np.ndarray:
+    """Read-only real (K + 1, N) h_m(x) at the window's columns for the beam width w (_hermite).
+
+    The recurrence runs on the quarter's columns 0 ... h - 1, and the rest are their mirror
+    images times (-1)^m. Window row i sits at y = -x_i, where h_n(y) = (-1)^n table[n, i].
+    Cached by width, so the planes -z and +z share one table.
+    """
+    n = spec.side_points
+    h = (n + 1) // 2
+    # Column-major, so a block of window rows table.T[rows] is contiguous: OpenBLAS multiplies a
+    # few contiguous rows faster than a transposed block.
+    table = np.empty((n, big_k + 1)).T
+    _hermite(spec.axis()[:h], w, big_k, table[:, :h])
+    flip = slice(n - h - 1, None, -1)  # quarter columns N - h - 1 ... 0, the images of h ... N - 1
+    np.multiply(table[:, flip], (1 - 2 * (np.arange(big_k + 1) % 2))[:, None], out=table[:, h:])
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=16)
 def _hg_tables(beam: BeamSpec, spec: GridSpec, z: float, big_k: int):
     """Read-only 1-D HG tables of the window's axis x at plane z: (table, chirp, gouy).
 
-    - table: the real (K + 1, N) h_m(x) = (2/w^2)^(1/4) psi_m(sqrt(2) x / w) at the window's
-      columns, with the Hermite functions psi_m from their normalised three-term recurrence on the
-      quarter's columns 0 ... h - 1 and the rest their mirror images times (-1)^m. Window row i
-      sits at y = -x_i, where h_n(y) = (-1)^n table[n, i];
+    - table: the real (K + 1, N) h_m(x) at the window's columns (_axis_table);
     - chirp: the (N,) curvature phase exp(i k x^2 / 2R(z)), even like x^2: the window's is
       outer(chirp, chirp);
     - gouy: the (K + 1,) phases exp(-i (N + 1) arctan(z/zR)) of the orders N = 0 ... K.
 
     Cached: a sweep renders at a few planes over and over.
     """
-    w = beam.width(z)
     zr = beam.rayleigh_range
     n = spec.side_points
     h = (n + 1) // 2
     x = spec.axis()[:h]
-    t = math.sqrt(2.0) / w * x
-    # Column-major, so a block of window rows table.T[rows] is contiguous: OpenBLAS multiplies a
-    # few contiguous rows faster than a transposed block.
-    table = np.empty((n, big_k + 1)).T
-    table[0, :h] = (2.0 / (math.pi * w * w)) ** 0.25 * np.exp(-0.5 * t * t)
-    for m in range(big_k):
-        nxt = np.multiply(math.sqrt(2.0 / (m + 1)) * t, table[m, :h], out=table[m + 1, :h])
-        if m:
-            nxt -= math.sqrt(m / (m + 1.0)) * table[m - 1, :h]
-    flip = slice(n - h - 1, None, -1)  # quarter columns N - h - 1 ... 0, the images of h ... N - 1
-    np.multiply(table[:, flip], (1 - 2 * (np.arange(big_k + 1) % 2))[:, None], out=table[:, h:])
     chirp = np.exp(1j * (beam.wavenumber * z / (2.0 * (z * z + zr * zr))) * x * x)
-    chirp = np.concatenate([chirp, chirp[flip]])
+    chirp = np.concatenate([chirp, chirp[n - h - 1::-1]])  # the quarter's images at columns h ... N - 1
     gouy = np.exp(-1j * (np.arange(big_k + 1) + 1) * math.atan2(z, zr))
-    for arr in (table, chirp, gouy):
+    for arr in (chirp, gouy):
         arr.flags.writeable = False
-    return table, chirp, gouy
+    return _axis_table(spec, beam.width(z), big_k), chirp, gouy
+
+
+def _order_blocks(l_max: int, p_max: int):
+    """Yield (N, j, weights) for each order N = 0 ... K that holds a mode with l >= 0.
+
+    j holds the row-major indices of those modes in the (l_max + 1, p_max + 1) table of (|l|, p),
+    and weights, of shape (len(j), N + 1), their signed HG weights weight_k, k = 0 ... N, of
+    _lg_to_hg. LG(-l, p) has the weights (-1)^k weight_k, so the |l| table serves every quantity
+    that couples only k of one parity.
+    """
+    mode, flat, weight, order, big_k = _lg_to_hg(l_max, p_max)
+    counts = order.ravel() + 1
+    offset = (np.cumsum(counts) - counts)[l_max * (p_max + 1):]  # each mode's N + 1 entries run on from here
+    for n in range(big_k + 1):
+        p = np.arange(max(0, n - l_max + 1) // 2, min(p_max, n // 2) + 1)  # l = N - 2p in 0 ... l_max
+        if p.size:
+            j = (n - 2 * p) * (p_max + 1) + p
+            yield n, j, weight[offset[j][:, None] + np.arange(n + 1)]
 
 
 _NORM_TOLERANCE = 1e-3  # largest |norm^2 - 1| of a sampled mode; mode-math's orthonormality tolerance
@@ -452,18 +402,24 @@ _NORM_TOLERANCE = 1e-3  # largest |norm^2 - 1| of a sampled mode; mode-math's or
 def _mode_norms(beam: BeamSpec, spec: GridSpec, z_abs: float, l_max: int, p_max: int) -> np.ndarray:
     """Read-only (l_max + 1, p_max + 1) discrete norms^2 of LG(+-|l|, p) on the window at +-z_abs.
 
-    |LG|^2 is radial[p]^2 on each radius shell: harmonic, chirp and Gouy phase have modulus 1,
-    and w(-z) = w(z). So the norm^2 is pixel_area sum_s n_s radial[p](s)^2 over the shells s of
-    n_s window pixels. Cached: one image's passes at -z and +z, and a sweep's jobs, share one pass.
+    Chirp and Gouy phase have modulus 1, and w(-z) = w(z). So the norm^2 of an order-N mode,
+    sum_k i^k d_k h_{N-k}(x) h_k(y), is sum_{k, k'} conj(i^k d_k) i^k' d_k' G[N - k, N - k'] G[k, k']
+    with the 1-D Gram G = pitch T T^T of the HG table T. On the centred window h_m has the parity
+    of m, so G vanishes between orders of mixed parity; with those entries set to 0 the sum runs
+    over k + k' even, where the phase factors give w_k w_k' for the signed weights w_k
+    (_order_blocks), and l and -l share one norm. Cached: one image's passes at -z and +z, and a
+    sweep's jobs, share one pass.
     """
-    r2, inverse, _ = _shells(spec)
-    n = spec.side_points
-    axis = np.full((n + 1) // 2, 2.0)  # window pixels per quarter pixel and axis: 2, 1 on the centre line of odd n
-    axis[-1] -= n % 2
-    counts = np.bincount(inverse.ravel(), np.outer(axis, axis).ravel(), r2.size)
-    counts *= spec.pixel_area
-    norms = np.array([np.einsum("ps,ps,s->p", radial, radial, counts)
-                      for radial, *_ in _lg_blocks(beam, spec, z_abs, l_max, p_max)])
+    *_, big_k = _lg_to_hg(l_max, p_max)
+    table = _axis_table(spec, beam.width(z_abs), big_k)
+    gram = np.einsum("mi,ni->mn", table, table) * spec.pixel_pitch  # einsum: no BLAS product to block
+    gram[::2, 1::2] = gram[1::2, ::2] = 0.0  # mixed parity
+    norms = np.empty((l_max + 1) * (p_max + 1))
+    for n, j, weights in _order_blocks(l_max, p_max):
+        pair = gram[n::-1, n::-1] * gram[:n + 1, :n + 1]  # [k, k'] = G[N - k, N - k'] G[k, k']
+        for rows in _row_blocks(j.size, (n + 1) ** 2):
+            norms[j[rows]] = np.einsum("mk,mk->m", weights[rows] @ pair, weights[rows])
+    norms = norms.reshape(l_max + 1, p_max + 1)
     norms.flags.writeable = False
     return norms
 
@@ -490,38 +446,58 @@ def _warn_if_clipped(beam: BeamSpec, spec: GridSpec, z: float, l_max: int, p_max
                       " undersampled by its pitch", ModeClippedWarning, stacklevel=3)
 
 
+def _hg_raster(values: np.ndarray, beam: BeamSpec, spec: GridSpec, z: float, l_max: int,
+               p_max: int) -> tuple[np.ndarray, bool]:
+    """(raster, finite): sum_{l, p} values[l + l_max, p] LG(l, p) at plane z on a fresh window.
+
+    The package's one synthesis path, behind render_pure_image and iter_lg_rasters. The mode
+    weights go into a table of HG weights, which one real product per block of its rows expands
+    over x and which is chirped; one real product per block of window rows then writes the complex
+    raster in place, and the rows are chirped. finite is True when a bound proves every sample
+    finite. The caller judges the window (_warn_if_clipped).
+    """
+    mode, flat, weight, order, big_k = _lg_to_hg(l_max, p_max)
+    table, chirp, gouy = _hg_tables(beam, spec, z, big_k)
+    side, k = spec.side_points, big_k + 1
+    # weights[part, n, m]: real and imaginary parts of the HG weights S[m, n] of the field.
+    weighted = (values * gouy[order]).ravel()
+    weights = np.stack([np.bincount(flat, weight * part[mode], k * k)
+                        for part in (weighted.real, weighted.imag)]).reshape(2, k, k)
+    # Odd n: times i^(n % 2), which weight leaves out, and (-1)^n for the rows: -i (re + i im).
+    weights[:, 1::2] = np.stack([weights[1, 1::2], -weights[0, 1::2]])
+    weights = weights.reshape(2 * k, k)
+    across = np.empty((2 * k, side))  # rows (part, n): sum_m weights[part, n, m] h_m(x)
+    for rows in _row_blocks(2 * k, k * side):
+        np.matmul(weights[rows], table, out=across[rows])
+    across = (across[:k] + 1j * across[k:]) * chirp
+    raster = np.empty((side, side), dtype=complex)
+    for rows in _row_blocks(side, 2 * k * side):
+        np.matmul(table.T[rows], across.view(float), out=raster[rows].view(float))
+        raster[rows] *= chirp[rows, None]
+    # |raster| <= max|table| sum_n max_x |across[n]| max|chirp| in O(K N): far below overflow, the
+    # raster is finite and needs no scan; an inf or NaN in the inputs makes the bound fail the test.
+    bound = np.abs(table).max() * np.abs(across).max(axis=1).sum() * np.abs(chirp).max()
+    return raster, bool(bound < 1e300)
+
+
 def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
     """Yield (mode, raster) for each requested mode, grouped by |l| ascending.
 
     Within one |l| the modes come in the order they were requested.
 
-    Per-mode view of _lg_blocks, the radial engine: radial factors are built
-    once per |l| over the radius shells of the lattice that spans the
-    requested modes, and that lattice's worst measured norm decides the
-    ModeClippedWarning. Each raster's cos and sin parts go into the slots of
-    their mirror signs and through _unfold; yielded rasters are freshly
-    allocated (N, N) arrays and safe to keep.
+    Each raster is _hg_raster of a one-hot table truncated at the mode's own (|l|, p), so it pays
+    for the orders up to its own. The worst measured norm of the lattice that spans the requested
+    modes decides the ModeClippedWarning. Yielded rasters are freshly allocated (N, N) arrays and
+    safe to keep.
     """
     modes = [m if isinstance(m, ModeIndex) else ModeIndex(*m) for m in modes]
     if not modes:
         return
-    l_max = max(abs(m.l) for m in modes)
-    p_max = max(m.p for m in modes)
-    _warn_if_clipped(beam, spec, z, l_max, p_max)
-    n = spec.side_points
-    for l_abs, (radial, harmonic, gouy, chirp, inverse) in enumerate(_lg_blocks(beam, spec, z, l_max, p_max)):
-        # [sx, sy] slots (see _unfold) of the cos(|l| phi) and sin(|l| phi) parts: the module docstring's table.
-        cos_slot, sin_slot = (l_abs % 2, 0), (1 - l_abs % 2, 1)
-        for mode in modes:
-            if abs(mode.l) != l_abs:
-                continue
-            # exp(+-i|l|phi) S = cos(|l|phi) S +- i sin(|l|phi) S, each part in the slot of its mirror signs.
-            shell = (radial[mode.p] * gouy[mode.p] * chirp)[inverse]
-            acc = np.zeros((2, 2) + shell.shape, dtype=complex)
-            acc[cos_slot] = shell * harmonic.real
-            if l_abs:
-                acc[sin_slot] = shell * (1j if mode.l > 0 else -1j) * harmonic.imag
-            yield mode, _unfold(n, acc)
+    _warn_if_clipped(beam, spec, z, max(abs(m.l) for m in modes), max(m.p for m in modes))
+    for mode in sorted(modes, key=lambda m: abs(m.l)):
+        values = np.zeros((2 * abs(mode.l) + 1, mode.p + 1), dtype=complex)
+        values[mode.l + abs(mode.l), mode.p] = 1.0
+        yield mode, _hg_raster(values, beam, spec, z, abs(mode.l), mode.p)[0]
 
 
 def inner_product(a: ComplexField, b: ComplexField) -> complex:

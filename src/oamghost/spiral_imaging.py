@@ -22,15 +22,17 @@ p_max = 9 takes about 0.4-0.6 ms.
 
 A CLI process loads OpenBLAS with one thread (see the package docstring).
 In a caller that imported numpy first, OpenBLAS splits a product over its
-pool once m n k exceeds 262144, so _row_blocks sizes every block below
-that (README, "Threads").
+pool once m n k exceeds 262144, so field_grid._row_blocks sizes every block
+below that (README, "Threads").
 
-render_background stays on the radial engine (field_grid._lg_blocks): its
-raster is even under both mirrors, so it pads its quarter out to the
-window. Only its weight sum P |A|^2 depends on the object. Its profile sum
-P |LG|^2 over the radius shells depends on the spectrum, beam, grid and
-plane alone and is cached (_background_profile), so a sweep that renders
-many objects at a few planes runs its engine pass once per plane.
+render_background's raster is radial and even under both mirrors, so it
+gathers one profile over the radius shells (field_grid._shells) onto the
+quarter and pads it out to the window. Only its weight sum P |A|^2 depends
+on the object. Its profile sum P |LG|^2 is the quadratic form h^T Q h in
+the HG functions at the shell radii, with Q from the spectrum: it depends
+on the spectrum, beam, grid and plane alone and is cached
+(_background_profile), so a sweep that renders many objects at a few
+planes builds it once per plane.
 """
 
 from __future__ import annotations
@@ -45,9 +47,12 @@ from .field_grid import (
     BeamSpec,
     ComplexField,
     GridSpec,
+    _hermite,
+    _hg_raster,
     _hg_tables,
-    _lg_blocks,
     _lg_to_hg,
+    _order_blocks,
+    _row_blocks,
     _shells,
     _warn_if_clipped,
 )
@@ -181,18 +186,6 @@ def _check_truncation(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> Non
         )
 
 
-def _row_blocks(rows: int, per_row: int) -> list[slice]:
-    """Slices of at most max(1, 262144 // per_row) rows that cover range(rows).
-
-    The coherent passes' one block rule: per_row is the m n k that one row
-    of a block adds to the largest product run on the block, so no product
-    exceeds m n k = 262144, the size up to which OpenBLAS runs it on one
-    thread (README, "Threads").
-    """
-    step = max(1, 262144 // per_row)
-    return [slice(start, start + step) for start in range(0, rows, step)]
-
-
 def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_max: int) -> ModeCoefficients:
     """Overlap coefficients of the object against LG modes at plane -z1.
 
@@ -241,36 +234,13 @@ def image_spectrum(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> ModeCo
 
 
 def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> ComplexField:
-    """Coherent sum of coefficient-weighted LG modes at plane +z2.
-
-    The mode weights go into a table of HG weights, which one real product
-    per block of its rows expands over x and which is chirped; one real
-    product per block of window rows then writes the complex raster in
-    place, and the rows are chirped.
-    """
+    """Coherent sum of coefficient-weighted LG modes at plane +z2, through field_grid._hg_raster."""
     _warn_if_clipped(coeffs.beam, spec, float(z2), coeffs.l_max, coeffs.p_max)
-    mode, flat, weight, order, big_k = _lg_to_hg(coeffs.l_max, coeffs.p_max)
-    table, chirp, gouy = _hg_tables(coeffs.beam, spec, float(z2), big_k)
-    side, k = spec.side_points, big_k + 1
-    # weights[part, n, m]: real and imaginary parts of the HG weights S[m, n] of the field.
-    weighted = (coeffs.values * gouy[order]).ravel()
-    weights = np.stack([np.bincount(flat, weight * part[mode], k * k)
-                        for part in (weighted.real, weighted.imag)]).reshape(2, k, k)
-    # Odd n: times i^(n % 2), which weight leaves out, and (-1)^n for the rows: -i (re + i im).
-    weights[:, 1::2] = np.stack([weights[1, 1::2], -weights[0, 1::2]])
-    weights = weights.reshape(2 * k, k)
-    across = np.empty((2 * k, side))  # rows (part, n): sum_m weights[part, n, m] h_m(x)
-    for rows in _row_blocks(2 * k, k * side):
-        np.matmul(weights[rows], table, out=across[rows])
-    across = (across[:k] + 1j * across[k:]) * chirp
-    raster = np.empty((side, side), dtype=complex)
-    for rows in _row_blocks(side, 2 * k * side):
-        np.matmul(table.T[rows], across.view(float), out=raster[rows].view(float))
-        raster[rows] *= chirp[rows, None]
-    # |raster| <= max|table| sum_n max_x |across[n]| max|chirp| in O(K N): far below overflow, the
-    # raster is finite and needs no scan; an inf or NaN in the inputs makes the bound fail the test.
-    bound = np.abs(table).max() * np.abs(across).max(axis=1).sum() * np.abs(chirp).max()
-    return ComplexField._adopt(spec, raster, finite=bool(bound < 1e300))  # a fresh raster: no copy
+    raster, finite = _hg_raster(coeffs.values, coeffs.beam, spec, float(z2), coeffs.l_max, coeffs.p_max)
+    return ComplexField._adopt(spec, raster, finite=finite)  # a fresh raster: no copy
+
+
+_SHELL_BLOCK = 32768  # Hermite values (orders x shells) per block of the background profile
 
 
 @functools.lru_cache(maxsize=8)
@@ -278,15 +248,40 @@ def _background_profile(amplitudes: bytes, l_max: int, p_max: int, beam: BeamSpe
                         z2: float) -> np.ndarray:
     """Read-only (S,) profile sum_{l, p} P_{l, p} |LG_{l, p}|^2 over the radius shells at plane z2.
 
+    sum P |LG|^2 is radial, so it is taken on the x axis at the shell radii r. There
+    h_k(0) = 0 for odd k makes each mode real up to its phase, LG(r, 0) = sum_m A[mode, m] h_m(r)
+    with A[mode, N - k] = w_k h_k(0) for the signed weights w_k (field_grid._order_blocks), and the
+    profile is h(r)^T Q h(r) with Q = A^T diag(P) A, built order by order. The Hermite functions
+    are evaluated _SHELL_BLOCK values at a time.
+
     It depends on the spectrum (its float64 amplitude table as bytes, so the
     key compares by value), the beam, the grid and the plane, never on the
     object, so a sweep that renders many objects builds it once per plane.
     """
     table = np.frombuffer(amplitudes).reshape(2 * l_max + 1, p_max + 1)
-    profile = 0.0
-    for l, (radial, *_) in enumerate(_lg_blocks(beam, spec, z2, l_max, p_max)):
-        amps = table[l_max + l] + (table[l_max - l] if l else 0.0)
-        profile = profile + np.einsum("p,pn->n", amps, radial * radial)
+    amps = table[l_max:].copy()
+    amps[1:] += table[l_max - 1::-1]  # LG(l, p) and LG(-l, p) share |LG|^2
+    amps = amps.ravel()
+    *_, big_k = _lg_to_hg(l_max, p_max)
+    w = beam.width(z2)
+    # h_k(0): 0 for odd k, and h_{k+2}(0) = -sqrt((k + 1) / (k + 2)) h_k(0), the recurrence at x = 0.
+    at_zero = np.zeros(big_k + 1)
+    at_zero[::2] = np.cumprod(np.r_[(2.0 / (math.pi * w * w)) ** 0.25,
+                                    -np.sqrt(np.arange(1, big_k, 2) / np.arange(2, big_k + 1, 2))])
+    q = np.zeros((big_k + 1, big_k + 1))  # Q = A^T diag(P) A
+    for n, j, weights in _order_blocks(l_max, p_max):
+        a = weights[:, ::2] * at_zero[:n + 1:2]  # a[mode, k / 2] = A[mode, N - k] for even k
+        for rows in _row_blocks(j.size, a.shape[1] ** 2):
+            q[n::-2, n::-2] += a[rows].T @ (amps[j[rows], None] * a[rows])
+    r2, _ = _shells(spec)
+    profile = np.empty(r2.size)
+    step = max(1, _SHELL_BLOCK // (big_k + 1))
+    buffer = np.empty((big_k + 1, min(step, r2.size)))
+    for start in range(0, r2.size, step):
+        out = profile[start:start + step]
+        h = _hermite(np.sqrt(r2[start:start + step]), w, big_k, buffer[:, :out.size])  # h_m(r_s) on the x axis
+        for cols in _row_blocks(out.size, q.size):
+            out[cols] = np.einsum("ms,ms->s", q @ h[:, cols], h[:, cols])
     profile.flags.writeable = False
     return profile
 

@@ -358,6 +358,20 @@ def test_coarse_image_run_warns_with_the_worst_mode(tmp_path, capsys):
     assert record and all(str(w.message).startswith(f"{mode} at z=") for w in record)
 
 
+@pytest.mark.filterwarnings("ignore::oamghost.field_grid.ModeClippedWarning")
+@pytest.mark.parametrize("flags,flagged", [([], False), (["--grid", "112", "--z1", "0.3", "--z2", "0.5"], True)])
+def test_image_flags_a_captured_fraction_above_one(tmp_path, capsys, flags, flagged):
+    # 112 points undersample the nearer plane's modes at z1 = 0.3 m: the capture reads 1.0276.
+    assert main(["image", "--out", str(tmp_path)] + flags) == EXIT_OK
+    out, err = capsys.readouterr()
+    capture = float(re.search(r"captured fraction (\S+)", out).group(1))
+    assert (capture > 1.0) == flagged
+    assert ("warning: captured fraction" in err) == flagged
+    if flagged:
+        assert f"captured fraction {capture:.4f} exceeds 1" in err and "LG(0, 15)" in err
+    assert len(os.listdir(tmp_path)) == 7  # the same files either way
+
+
 def test_image_manifest_round_trip(tmp_path, capsys):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
