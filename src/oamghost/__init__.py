@@ -9,10 +9,12 @@ plus the verification entry points and the version.
 
 When this package is the first to import numpy (the `oamghost` console script,
 `python -m oamghost.cli`), OpenBLAS is loaded with one thread. Its idle worker
-spins for about 0.1 s of CPU per process, and only the mode-math Gram matrix
-and the CSD blur on 256^2 windows are products large enough to gain wall time
-from it. OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS set by the
-user win, and a host that imported numpy first is left as it is.
+spins for about 0.1 s of CPU per process, and no command makes products large
+enough to gain wall time from it: on a 2-vCPU x86-64 host `verify --suite
+mode-math` took 0.66-0.70 s with one thread and 0.79-0.89 s with two, and
+`oracle-csd --grid 256` 0.17 s with one, 0.20 s with two (README, "Threads").
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS set by the user win,
+and a host that imported numpy first is left as it is.
 """
 
 import os as _os

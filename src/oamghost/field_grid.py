@@ -485,19 +485,20 @@ def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):
 
     Within one |l| the modes come in the order they were requested.
 
-    Each raster is _hg_raster of a one-hot table truncated at the mode's own (|l|, p), so it pays
-    for the orders up to its own. The worst measured norm of the lattice that spans the requested
-    modes decides the ModeClippedWarning. Yielded rasters are freshly allocated (N, N) arrays and
-    safe to keep.
+    Each raster is _hg_raster of a one-hot table on the one lattice (max |l|, max p) that spans the
+    requested modes, so every mode shares one LG-to-HG map and one axis table, and the caches hold
+    one entry for the call. That lattice's worst measured norm decides the ModeClippedWarning.
+    Yielded rasters are freshly allocated (N, N) arrays and safe to keep.
     """
     modes = [m if isinstance(m, ModeIndex) else ModeIndex(*m) for m in modes]
     if not modes:
         return
-    _warn_if_clipped(beam, spec, z, max(abs(m.l) for m in modes), max(m.p for m in modes))
+    l_max, p_max = max(abs(m.l) for m in modes), max(m.p for m in modes)
+    _warn_if_clipped(beam, spec, z, l_max, p_max)
     for mode in sorted(modes, key=lambda m: abs(m.l)):
-        values = np.zeros((2 * abs(mode.l) + 1, mode.p + 1), dtype=complex)
-        values[mode.l + abs(mode.l), mode.p] = 1.0
-        yield mode, _hg_raster(values, beam, spec, z, abs(mode.l), mode.p)[0]
+        values = np.zeros((2 * l_max + 1, p_max + 1), dtype=complex)
+        values[mode.l + l_max, mode.p] = 1.0
+        yield mode, _hg_raster(values, beam, spec, z, l_max, p_max)[0]
 
 
 def inner_product(a: ComplexField, b: ComplexField) -> complex:

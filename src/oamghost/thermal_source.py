@@ -228,13 +228,7 @@ def oracle_grid(geometry: SourceGeometry, l_max: int, p_max: int, side_points: i
     return default_grid(BeamSpec(geometry.matched_waist), l_max, p_max, side_points)
 
 
-def csd_mode_decompose(
-    geometry: SourceGeometry,
-    l_max: int,
-    p_max: int,
-    spec: GridSpec,
-    allow_large: bool = False,
-) -> CsdTensor:
+def csd_mode_decompose(geometry: SourceGeometry, l_max: int, p_max: int, spec: GridSpec) -> CsdTensor:
     """Project the cross-spectral density onto LG mode pairs by nested quadrature.
 
     Computes, at z = 0 with the matched waist,
@@ -257,12 +251,13 @@ def csd_mode_decompose(
     and 1 for even k. At sigma_g = inf the kernel is 1.
 
     This is a cross-check oracle, not a production path: truncations or grids
-    beyond the default runtime budget are refused unless allow_large is set.
+    beyond its runtime budget (l_max, p_max <= 10, side_points <= 512) are
+    refused.
     """
     if l_max < 0 or p_max < 0:
         raise ValueError("l_max and p_max must be nonnegative")
     n_modes = (2 * l_max + 1) * (p_max + 1)
-    if not allow_large and (l_max > 10 or p_max > 10 or spec.side_points > 512):
+    if l_max > 10 or p_max > 10 or spec.side_points > 512:
         raise ValueError(
             f"decomposition over {n_modes} modes on a {spec.side_points}^2 grid exceeds the "
             "CSD oracle's runtime budget (l_max <= 10, p_max <= 10, side_points <= 512); "

@@ -15,6 +15,7 @@ from oamghost.field_grid import (
     ModeIndex,
     default_grid,
     inner_product,
+    _axis_table,
     _lg_to_hg,
     _mode_norms,
     _shells,
@@ -292,6 +293,17 @@ def test_lg_amplitude_finite_at_high_order():
         f = lg_amplitude(ModeIndex(l, 4), BEAM, r, 0.3, 0.5 * BEAM.rayleigh_range)
         assert np.all(np.isfinite(f.real)) and np.all(np.isfinite(f.imag))
         assert np.max(np.abs(f)) > 0.0
+
+
+def test_iter_renders_every_mode_on_one_lattice():
+    # One LG-to-HG map and one axis table for the call, so a caller's cached entries stay put.
+    spec = default_grid(BEAM, l_max=10, p_max=5, side_points=128)
+    _lg_to_hg.cache_clear()
+    _axis_table.cache_clear()
+    modes = [ModeIndex(l, p) for l in range(-10, 11) for p in range(6)]
+    assert len(list(iter_lg_rasters(BEAM, spec, 0.0, modes))) == 126
+    assert _lg_to_hg.cache_info().currsize == 1
+    assert _axis_table.cache_info().currsize == 1
 
 
 # These windows sample the rasters pointwise against the oracle; they do not

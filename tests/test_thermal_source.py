@@ -206,9 +206,6 @@ def test_csd_decomposition_budget_refusal():
         csd_mode_decompose(geo, 0, 11, GridSpec(64, 1e-2))
     with pytest.raises(ValueError):
         csd_mode_decompose(geo, 0, 0, GridSpec(513, 1e-2))
-    # allow_large overrides the refusal
-    tensor = csd_mode_decompose(geo, 0, 0, GridSpec(513, 2e-2), allow_large=True)
-    assert tensor.coefficient(0, 0, 0, 0).real > 0
 
 
 def test_csd_decomposition_refuses_an_underflowing_sigma_g():
