@@ -158,6 +158,43 @@ class ModeIndex:
             raise ValueError(f"radial index p must be >= 0, got {self.p}")
 
 
+def _lattice_shape(l_max: int, p_max: int) -> tuple[int, int]:
+    """(2 l_max + 1, p_max + 1), the shape of a table over the (l, p) lattice |l| <= l_max, p <= p_max."""
+    if l_max < 0 or p_max < 0:
+        raise ValueError("l_max and p_max must be nonnegative")
+    return 2 * l_max + 1, p_max + 1
+
+
+def _lattice_table(l_max: int, p_max: int, values, dtype, name: str, pairs: bool = False,
+                   nonnegative: bool = False) -> np.ndarray:
+    """A read-only copy of values as dtype: the one (l, p)-table contract.
+
+    The table is indexed [l + l_max, p], or [l + l_max, l' + l_max, p, p'] over mode pairs when
+    pairs=True. Refuses a negative l_max or p_max, a wrong shape, a non-finite entry and, when
+    nonnegative=True, a negative one.
+    """
+    nl, np_ = _lattice_shape(l_max, p_max)
+    arr = np.array(values, dtype=dtype)  # always a copy of the caller's table
+    shape = (nl, nl, np_, np_) if pairs else (nl, np_)
+    if arr.shape != shape:
+        raise ValueError(f"{name} shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} entries must be finite")
+    if nonnegative and (arr < 0).any():
+        raise ValueError(f"{name} entries must be nonnegative")
+    arr.flags.writeable = False
+    return arr
+
+
+def _lattice_entry(table: np.ndarray, l_max: int, p_max: int, ls: tuple, ps: tuple):
+    """table[l + l_max, ..., p, ...] for the signed azimuthal indices ls and the radial ps of
+    _lattice_table's layout; refuses an index outside the truncation."""
+    if max(map(abs, ls)) > l_max or not 0 <= min(ps) <= max(ps) <= p_max:
+        modes = " x ".join(f"(l={l}, p={p})" for l, p in zip(ls, ps))
+        raise ValueError(f"mode {modes} outside truncation (l_max={l_max}, p_max={p_max})")
+    return table[tuple([l + l_max for l in ls]) + ps]
+
+
 @dataclass(frozen=True)
 class BeamSpec:
     """Gaussian beam waist (1/e^2 intensity radius at z = 0) and wavelength."""
@@ -269,7 +306,8 @@ def _hermite(x: np.ndarray, w: float, big_k: int, out: np.ndarray) -> np.ndarray
     """out, a (K + 1, len(x)) array, filled with h_m(x) = (2/w^2)^(1/4) psi_m(sqrt(2) x / w).
 
     The Hermite functions psi_m come from their normalised three-term recurrence, which stays
-    bounded at every order.
+    bounded at every order. It is the package's one Hermite evaluator: the axis tables
+    (_axis_table), and the background profile's h_m at the shell radii and h_k(0) at x = 0.
     """
     t = math.sqrt(2.0) / w * x
     out[0] = (2.0 / (math.pi * w * w)) ** 0.25 * np.exp(-0.5 * t * t)

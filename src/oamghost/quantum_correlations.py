@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field_grid import _lattice_shape
 from .thermal_source import SourceGeometry, SpiralSpectrum, _beta_and_t, _check_widths, full_lattice_sums
 
 __all__ = [
@@ -360,10 +361,8 @@ def discord_curve(sigma_s: float, sigma_g_values, dimension_list) -> list[tuple]
     d_inf = _limit_at_ratio(ratios).tolist()
     columns = []
     for l_max, p_max in dimension_list:
-        if l_max < 0 or p_max < 0:
-            raise ValueError("l_max and p_max must be nonnegative")
+        d = math.prod(_lattice_shape(l_max, p_max))
         s1, s2, s4 = (_truncated_sums(t, l_max, p_max, k) for k in (1, 2, 4))
-        d = (2 * l_max + 1) * (p_max + 1)
         d_rho, d_rho_q = discord_from_sums(s1, s2, s4), 1.0 - s4 / (s2 * s2)
         columns.append((l_max, p_max, d, d_rho.tolist(), d_rho_q.tolist()))
     return [(ratio, l_max, p_max, d, d_rho[i], d_rho_q[i], d_inf[i])

@@ -50,6 +50,9 @@ from .field_grid import (
     _hermite,
     _hg_raster,
     _hg_tables,
+    _lattice_entry,
+    _lattice_shape,
+    _lattice_table,
     _lg_to_hg,
     _order_blocks,
     _row_blocks,
@@ -89,23 +92,11 @@ class ModeCoefficients:
     beam: BeamSpec
 
     def __post_init__(self):
-        if self.l_max < 0 or self.p_max < 0:
-            raise ValueError("l_max and p_max must be nonnegative")
-        arr = np.asarray(self.values, dtype=complex)
-        shape = (2 * self.l_max + 1, self.p_max + 1)
-        if arr.shape != shape:
-            raise ValueError(f"coefficient table shape {arr.shape}, expected {shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("coefficients must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _lattice_table(self.l_max, self.p_max, self.values, complex,
+                                                          "coefficient table"))
 
     def value(self, l: int, p: int) -> complex:
-        if abs(l) > self.l_max or not 0 <= p <= self.p_max:
-            raise ValueError(f"mode (l={l}, p={p}) outside truncation "
-                             f"(l_max={self.l_max}, p_max={self.p_max})")
-        return complex(self.values[l + self.l_max, p])
+        return complex(_lattice_entry(self.values, self.l_max, self.p_max, (l,), (p,)))
 
     def power(self) -> float:
         """Sum of |coefficient|^2 over the truncation."""
@@ -194,9 +185,8 @@ def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_
     moments; each mode's coefficient is its d_k-weighted sum of the
     moments of its order.
     """
-    if l_max < 0 or p_max < 0:
-        raise ValueError("l_max and p_max must be nonnegative")
-    plane = -float(z1)
+    _lattice_shape(l_max, p_max)  # refuse a negative truncation before the passes
+    plane = 0.0 - float(z1)  # not -z1, which makes the plane z1 = 0 into -0.0
     spec = obj.spec
     _warn_if_clipped(beam, spec, plane, l_max, p_max)
     mode, flat, weight, order, big_k = _lg_to_hg(l_max, p_max)
@@ -251,8 +241,8 @@ def _background_profile(amplitudes: bytes, l_max: int, p_max: int, beam: BeamSpe
     sum P |LG|^2 is radial, so it is taken on the x axis at the shell radii r. There
     h_k(0) = 0 for odd k makes each mode real up to its phase, LG(r, 0) = sum_m A[mode, m] h_m(r)
     with A[mode, N - k] = w_k h_k(0) for the signed weights w_k (field_grid._order_blocks), and the
-    profile is h(r)^T Q h(r) with Q = A^T diag(P) A, built order by order. The Hermite functions
-    are evaluated _SHELL_BLOCK values at a time.
+    profile is h(r)^T Q h(r) with Q = A^T diag(P) A, built order by order. Both h_k(0) and the
+    h_m(r) come from field_grid._hermite, the latter _SHELL_BLOCK values at a time.
 
     It depends on the spectrum (its float64 amplitude table as bytes, so the
     key compares by value), the beam, the grid and the plane, never on the
@@ -264,10 +254,7 @@ def _background_profile(amplitudes: bytes, l_max: int, p_max: int, beam: BeamSpe
     amps = amps.ravel()
     *_, big_k = _lg_to_hg(l_max, p_max)
     w = beam.width(z2)
-    # h_k(0): 0 for odd k, and h_{k+2}(0) = -sqrt((k + 1) / (k + 2)) h_k(0), the recurrence at x = 0.
-    at_zero = np.zeros(big_k + 1)
-    at_zero[::2] = np.cumprod(np.r_[(2.0 / (math.pi * w * w)) ** 0.25,
-                                    -np.sqrt(np.arange(1, big_k, 2) / np.arange(2, big_k + 1, 2))])
+    at_zero = _hermite(np.zeros(1), w, big_k, np.empty((big_k + 1, 1)))[:, 0]  # h_k(0), 0 for odd k
     q = np.zeros((big_k + 1, big_k + 1))  # Q = A^T diag(P) A
     for n, j, weights in _order_blocks(l_max, p_max):
         a = weights[:, ::2] * at_zero[:n + 1:2]  # a[mode, k / 2] = A[mode, N - k] for even k

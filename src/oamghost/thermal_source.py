@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_grid import BeamSpec, GridSpec, ModeIndex, _hg_tables, _lg_to_hg, _warn_if_clipped, default_grid
+from .field_grid import (BeamSpec, GridSpec, ModeIndex, _hg_tables, _lattice_entry, _lattice_shape,
+                         _lattice_table, _lg_to_hg, _warn_if_clipped, default_grid)
 
 __all__ = [
     "CsdTensor",
@@ -89,8 +90,9 @@ class SpiralSpectrum:
     """Real nonnegative amplitude table P[l, p] for |l| <= l_max, 0 <= p <= p_max.
 
     Thermal tables built by build_spectrum are geometric in |l| + 2p; the
-    container itself only enforces shape and nonnegativity, so flat test
-    tables (flat_spectrum) are representable too.
+    container itself only enforces the (l, p)-table contract
+    (field_grid._lattice_table) and nonnegativity, so flat test tables
+    (flat_spectrum) are representable too.
     """
 
     l_max: int
@@ -99,28 +101,16 @@ class SpiralSpectrum:
     geometry: SourceGeometry | None = None
 
     def __post_init__(self):
-        if self.l_max < 0 or self.p_max < 0:
-            raise ValueError("l_max and p_max must be nonnegative")
-        arr = np.asarray(self.amplitudes, dtype=float)
-        shape = (2 * self.l_max + 1, self.p_max + 1)
-        if arr.shape != shape:
-            raise ValueError(f"amplitude table shape {arr.shape}, expected {shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("amplitudes must be finite and nonnegative")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "amplitudes", _lattice_table(self.l_max, self.p_max, self.amplitudes, float,
+                                                              "amplitude table", nonnegative=True))
 
     @property
     def d(self) -> int:
         """Dimension (2 l_max + 1)(p_max + 1) of the truncated single-photon space."""
-        return (2 * self.l_max + 1) * (self.p_max + 1)
+        return self.amplitudes.size
 
     def amplitude(self, l: int, p: int) -> float:
-        if abs(l) > self.l_max or not 0 <= p <= self.p_max:
-            raise ValueError(f"mode (l={l}, p={p}) outside truncation "
-                             f"(l_max={self.l_max}, p_max={self.p_max})")
-        return float(self.amplitudes[l + self.l_max, p])
+        return float(_lattice_entry(self.amplitudes, self.l_max, self.p_max, (l,), (p,)))
 
     def sum_amplitudes(self) -> float:
         return float(self.amplitudes.sum())
@@ -155,8 +145,6 @@ def spectrum_amplitude(mode: ModeIndex, geometry: SourceGeometry) -> float:
 
 def build_spectrum(geometry: SourceGeometry, l_max: int, p_max: int) -> SpiralSpectrum:
     """Tabulate spectrum_amplitude over the truncated (l, p) lattice."""
-    if l_max < 0 or p_max < 0:
-        raise ValueError("l_max and p_max must be nonnegative")
     ls = np.abs(np.arange(-l_max, l_max + 1))
     ps = np.arange(p_max + 1)
     t = geometry.t
@@ -164,9 +152,9 @@ def build_spectrum(geometry: SourceGeometry, l_max: int, p_max: int) -> SpiralSp
     return SpiralSpectrum(l_max, p_max, amps, geometry)
 
 
-def flat_spectrum(l_max: int, p_max: int, value: float = 1.0) -> SpiralSpectrum:
-    """Constant-amplitude table (maximally entangled stand-in; no geometry)."""
-    return SpiralSpectrum(l_max, p_max, np.full((2 * l_max + 1, p_max + 1), float(value)))
+def flat_spectrum(l_max: int, p_max: int) -> SpiralSpectrum:
+    """Table of amplitude 1 at every mode (maximally entangled stand-in; no geometry)."""
+    return SpiralSpectrum(l_max, p_max, np.ones(_lattice_shape(l_max, p_max)))
 
 
 def full_lattice_sums(geometry: SourceGeometry) -> tuple[float, float, float]:
@@ -208,19 +196,11 @@ class CsdTensor:
     coefficients: np.ndarray  # shape (2L+1, 2L+1, P+1, P+1), index (l+L, l'+L, p, p')
 
     def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=complex)
-        nl = 2 * self.l_max + 1
-        np_ = self.p_max + 1
-        if arr.shape != (nl, nl, np_, np_):
-            raise ValueError(f"coefficient shape {arr.shape}, expected {(nl, nl, np_, np_)}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coefficients", arr)
+        object.__setattr__(self, "coefficients", _lattice_table(self.l_max, self.p_max, self.coefficients,
+                                                                complex, "coefficient tensor", pairs=True))
 
     def coefficient(self, l: int, l_prime: int, p: int, p_prime: int) -> complex:
-        if max(abs(l), abs(l_prime)) > self.l_max or not (0 <= p <= self.p_max and 0 <= p_prime <= self.p_max):
-            raise ValueError(f"indices ({l}, {l_prime}, {p}, {p_prime}) outside truncation")
-        return complex(self.coefficients[l + self.l_max, l_prime + self.l_max, p, p_prime])
+        return complex(_lattice_entry(self.coefficients, self.l_max, self.p_max, (l, l_prime), (p, p_prime)))
 
 
 def oracle_grid(geometry: SourceGeometry, l_max: int, p_max: int, side_points: int = 128) -> GridSpec:
@@ -254,9 +234,8 @@ def csd_mode_decompose(geometry: SourceGeometry, l_max: int, p_max: int, spec: G
     beyond its runtime budget (l_max, p_max <= 10, side_points <= 512) are
     refused.
     """
-    if l_max < 0 or p_max < 0:
-        raise ValueError("l_max and p_max must be nonnegative")
-    n_modes = (2 * l_max + 1) * (p_max + 1)
+    nl, np_ = _lattice_shape(l_max, p_max)
+    n_modes = nl * np_
     if l_max > 10 or p_max > 10 or spec.side_points > 512:
         raise ValueError(
             f"decomposition over {n_modes} modes on a {spec.side_points}^2 grid exceeds the "
@@ -296,5 +275,4 @@ def csd_mode_decompose(geometry: SourceGeometry, l_max: int, p_max: int, spec: G
     signed = np.where(flat // (big_k + 1) % 2, -weight, weight)  # conj(i^k)^2 = -1 for odd k = n
     counts = order.ravel() + 1  # each mode's entries k = 0 ... N, one after another
     f = np.add.reduceat(blurred[flat] * signed[:, None], np.cumsum(counts) - counts)
-    nl, np_ = 2 * l_max + 1, p_max + 1
     return CsdTensor(l_max, p_max, f.reshape(nl, np_, nl, np_).transpose(0, 2, 1, 3))

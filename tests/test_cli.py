@@ -505,6 +505,18 @@ def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):
     assert "5/5 checks passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("grid, pixels", [("2", 4), ("3", 9), ("4", 16)])
+def test_verify_imaging_on_a_window_of_fewer_than_16_pixels(tmp_path, capsys, grid, pixels):
+    # The background oracle drew 16 distinct pixels, more than a 2^2 or 3^2 window holds.
+    with pytest.warns(ModeClippedWarning):
+        code = main(["verify", "--suite", "imaging", "--grid", grid, "--out", str(tmp_path)])
+    assert code == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "[FAIL] basis-norm" in out
+    assert f"at {pixels} seeded pixels (tol 1e-10)" in out
+    assert sum(line.startswith(("[ok]", "[FAIL]")) for line in out.splitlines()) == 9
+
+
 def test_verify_forwards_only_explicit_parameters(tmp_path, capsys):
     # seed/l_max defaults differ per suite, so only the parameters set are forwarded
     assert main(["verify", "--suite", "separability", "--l-max", "1", "--p-max", "1",

@@ -16,6 +16,7 @@ from oamghost.field_grid import (
     default_grid,
     inner_product,
     _axis_table,
+    _hermite,
     _lg_to_hg,
     _mode_norms,
     _shells,
@@ -345,6 +346,19 @@ def _hg_rows(l_max, p_max):
         rows[(l - l_max, p)] = np.zeros(order.flat[j] + 1)
         rows[(l - l_max, p)][ks] = ds
     return rows
+
+
+@pytest.mark.parametrize("w", [1e-3, 2.37e-4, 5.1e-5])
+def test_hermite_at_the_origin_matches_its_closed_form(w):
+    # h_k(0) = (2 / (pi w^2))^(1/4) (-1)^(k/2) sqrt(k!) / (2^(k/2) (k/2)!) for even k, 0 for odd k:
+    # the background profile's h_k(0) comes from this recurrence at x = 0.
+    k = np.arange(181)
+    got = _hermite(np.zeros(1), w, 180, np.empty((181, 1)))[:, 0]
+    log_abs = np.array([0.5 * math.lgamma(j + 1.0) - 0.5 * j * math.log(2.0) - math.lgamma(j / 2 + 1.0)
+                        for j in k])
+    want = np.where(k % 2, 0.0, (-1.0) ** (k // 2) * np.exp(log_abs)) * (2.0 / (math.pi * w * w)) ** 0.25
+    assert np.all(got[1::2] == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_hg_rows_are_orthonormal_per_order():

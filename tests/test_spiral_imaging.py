@@ -452,3 +452,11 @@ def test_read_pgm_errors(tmp_path):
         path.write_bytes(header + bytes(8))
         with pytest.raises(ValueError, match=f"header{k}.pgm"):
             read_pgm(path)
+
+
+def test_object_spectrum_at_z1_zero_records_and_names_the_plane_zero():
+    # The plane was stored as -z1, so z1 = 0 became -0.0 and the warning read "z=-0 m".
+    obj = ComplexField(GridSpec(32, 8.0 * BEAM.waist), np.ones((32, 32)))
+    with pytest.warns(ModeClippedWarning, match="z=0 m"):
+        coeffs = object_spectrum(obj, BEAM, 0.0, 10, 5)
+    assert math.copysign(1.0, coeffs.plane) == 1.0

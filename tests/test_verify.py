@@ -1,10 +1,14 @@
-"""The mode-math suite's round-trip Gram matrix: its failing path, and against a brute-force Gram."""
+"""The verify suites' own paths: the mode-math round-trip Gram (its failing path, and against a
+brute-force Gram), the discord-extremum sweep against the per-table discord, and the CSD
+deviations against their loop."""
 
 import numpy as np
 import pytest
 
 from oamghost.field_grid import BeamSpec, ModeClippedWarning, ModeIndex, default_grid, iter_lg_rasters
-from oamghost.verify import _round_trip_gram, suite_mode_math
+from oamghost.quantum_correlations import discord_limit, geometric_discord_thermal
+from oamghost.thermal_source import CsdTensor, build_spectrum, csd_mode_decompose, oracle_grid, source_geometry
+from oamghost.verify import _csd_deviations, _round_trip_gram, suite_discord_extremum, suite_mode_math
 
 
 def _orthonormality(results):
@@ -36,3 +40,43 @@ def test_round_trip_gram_matches_the_brute_force_gram():
     gram = _round_trip_gram(beam, spec)
     assert np.max(np.abs(gram - np.eye(len(modes)))) > 3e-3
     assert np.max(np.abs(gram - brute)) <= 1e-13
+
+
+def test_discord_extremum_agrees_with_the_per_table_discord():
+    # The suite reads discord_curve's rows; the per-table functions are the oracle.
+    ratios = np.linspace(0.2, 10.0, 200)
+    geos = [source_geometry(1e-3, ratio * 1e-3) for ratio in ratios]
+    values = np.array([geometric_discord_thermal(build_spectrum(geo, 60, 60)) for geo in geos])
+    limits = np.array([discord_limit(geo) for geo in geos])
+    k = int(np.argmax(values))
+    location, peak, agreement = suite_discord_extremum()
+    assert location.passed and peak.passed and agreement.passed
+    assert f"argmax at ratio {ratios[k]:.6f}," in location.detail
+    assert f"peak discord {values[k]:.9f}," in peak.detail
+    tail = ratios >= 0.5
+    suite_agreement = float(agreement.detail.split(" = ")[1].split()[0])
+    assert abs(suite_agreement - np.max(np.abs(values[tail] - limits[tail]))) <= 1e-15
+
+
+def _csd_deviations_by_loop(tensor, t):
+    """The reference: the masks and ratios one entry at a time."""
+    l_max, p_max, coeff = tensor.l_max, tensor.p_max, tensor.coefficients
+    f0 = coeff[l_max, l_max, 0, 0].real
+    on = np.zeros(coeff.shape, dtype=bool)
+    dev = 0.0
+    for l in range(-l_max, l_max + 1):
+        for p in range(p_max + 1):
+            on[l + l_max, l_max - l, p, p] = True
+            dev = max(dev, abs(coeff[l + l_max, l_max - l, p, p].real / f0 - t ** (abs(l) + 2 * p)))
+    return float(np.max(np.abs(coeff[~on]), initial=0.0)) / f0, dev
+
+
+@pytest.mark.parametrize("sigma_g", [1e-4, 2.5e-5])
+def test_csd_deviations_match_the_loop_on_the_oracle_tensor(sigma_g):
+    geo = source_geometry(1e-3, sigma_g)
+    tensor = csd_mode_decompose(geo, 3, 3, oracle_grid(geo, 3, 3, 128))
+    off, dev = _csd_deviations(tensor, geo.t)
+    ref_off, ref_dev = _csd_deviations_by_loop(tensor, geo.t)
+    assert off == ref_off
+    # t^(|l| + 2p) by numpy's power for a whole array may differ from Python's pow by one ulp of 1.
+    assert abs(dev - ref_dev) <= 2.3e-16
