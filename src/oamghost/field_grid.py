@@ -19,17 +19,16 @@ mix of the Hermite-Gaussian products h_{N-k}(x) h_k(y), whose chirp factors
 into x and y and whose Gouy phase depends on N alone. So a sum of modes is
 a small (K + 1)^2 table of HG weights, K = 2 p_max + l_max, contracted with
 one 1-D table h_m(x) over the whole axis: real matrix products, pointwise
-exact on the same pixels. The table's columns past the quarter are the
-mirror images of its own, since h_m(-x) = (-1)^m h_m(x), and window row i
-sits at y = -x_i, so the same table serves the rows. Every product follows
-one block rule (_row_blocks).
+exact on the same pixels. The axis is exactly antisymmetric (GridSpec.axis),
+so window row i sits at y = -x_i exactly, h_n(y) = (-1)^n h_n(x_i), and the
+same table serves the rows. Every product follows one block rule
+(_row_blocks).
 
 On a centred square grid the pixel radius takes few values:
-r^2 = key (pitch/2)^2 with the integer key (2i-N+1)^2 + (2j-N+1)^2, and the
-quarter of the window (rows and columns 0 ... ceil(N/2) - 1) holds every
-one (_shells): 20,604 shells cover the 65,536 quarter pixels of a 512^2
-window. The background, radial and even under both mirrors, is evaluated
-on these shells, gathered onto the quarter and padded out by reflection.
+r^2 = key (pitch/2)^2 with the integer key (2i-N+1)^2 + (2j-N+1)^2
+(_shells): 20,604 shells cover the 262,144 pixels of a 512^2 window. The
+background, radial, is evaluated on these shells and gathered onto the
+window.
 """
 
 from __future__ import annotations
@@ -88,9 +87,13 @@ class GridSpec:
         return self.pixel_pitch ** 2
 
     def axis(self) -> np.ndarray:
-        """Pixel-center x coordinates, ascending left to right."""
+        """Pixel-center x coordinates, ascending left to right, exactly antisymmetric.
+
+        x_i = (i - (N - 1)/2) pitch: the half-integer offsets negate exactly and so do their
+        products with the pitch, so x_{N-1-i} == -x_i bit for bit.
+        """
         n = self.side_points
-        return (np.arange(n) + 0.5) * self.pixel_pitch - 0.5 * self.extent
+        return (np.arange(n) - 0.5 * (n - 1)) * self.pixel_pitch
 
     def grids(self) -> tuple[np.ndarray, np.ndarray]:
         """(x, y) coordinate rasters; y decreases down the rows."""
@@ -267,22 +270,19 @@ def lg_amplitude(mode: ModeIndex, beam: BeamSpec, radius, azimuth, z: float = 0.
 
 @functools.lru_cache(maxsize=4)
 def _shells(spec: GridSpec):
-    """Radius shells of the window's quarter: (r2, inverse), both read-only.
+    """Radius shells of the window: (r2, inverse), both read-only.
 
     - r2: the (S,) distinct squared pixel radii key (pitch/2)^2, ascending;
-    - inverse: the (h, h) shell index of each quarter pixel, h = ceil(N/2).
+    - inverse: the (N, N) shell index of each window pixel.
 
-    The quarter is rows and columns 0 ... h - 1 of the window; it holds
-    every shell of the window. The keys are marked in a boolean table of
-    every possible key, so the index is a cumulative count and nothing is
-    sorted. Cached per grid: the background profile and its gather share it.
+    The keys present are counted over every possible key (the largest is the corner's,
+    2 (N - 1)^2), so the index is a cumulative count and nothing is sorted. Cached per grid: the
+    background profile and its gather share it.
     """
     n = spec.side_points
-    h = (n + 1) // 2
-    offsets = (2 * np.arange(h) - n + 1) ** 2
+    offsets = (2 * np.arange(n) - n + 1) ** 2
     keys = offsets[:, None] + offsets[None, :]
-    present = np.zeros(2 * (n - 1) ** 2 + 1, dtype=bool)
-    present[keys] = True
+    present = np.bincount(keys.ravel()) > 0
     r2 = np.flatnonzero(present) * (0.5 * spec.pixel_pitch) ** 2
     inverse = (np.cumsum(present) - 1)[keys]
     for arr in (r2, inverse):
@@ -376,18 +376,13 @@ def _lg_to_hg(l_max: int, p_max: int):
 def _axis_table(spec: GridSpec, w: float, big_k: int) -> np.ndarray:
     """Read-only real (K + 1, N) h_m(x) at the window's columns for the beam width w (_hermite).
 
-    The recurrence runs on the quarter's columns 0 ... h - 1, and the rest are their mirror
-    images times (-1)^m. Window row i sits at y = -x_i, where h_n(y) = (-1)^n table[n, i].
-    Cached by width, so the planes -z and +z share one table.
+    The axis is exactly antisymmetric, so table[:, ::-1] == (-1)^m table bit for bit, and window
+    row i, at y = -x_i, has h_n(y) = (-1)^n table[n, i]. Cached by width, so the planes -z and +z
+    share one table.
     """
-    n = spec.side_points
-    h = (n + 1) // 2
     # Column-major, so a block of window rows table.T[rows] is contiguous: OpenBLAS multiplies a
     # few contiguous rows faster than a transposed block.
-    table = np.empty((n, big_k + 1)).T
-    _hermite(spec.axis()[:h], w, big_k, table[:, :h])
-    flip = slice(n - h - 1, None, -1)  # quarter columns N - h - 1 ... 0, the images of h ... N - 1
-    np.multiply(table[:, flip], (1 - 2 * (np.arange(big_k + 1) % 2))[:, None], out=table[:, h:])
+    table = _hermite(spec.axis(), w, big_k, np.empty((spec.side_points, big_k + 1)).T)
     table.flags.writeable = False
     return table
 
@@ -404,11 +399,8 @@ def _hg_tables(beam: BeamSpec, spec: GridSpec, z: float, big_k: int):
     Cached: a sweep renders at a few planes over and over.
     """
     zr = beam.rayleigh_range
-    n = spec.side_points
-    h = (n + 1) // 2
-    x = spec.axis()[:h]
+    x = spec.axis()
     chirp = np.exp(1j * (beam.wavenumber * z / (2.0 * (z * z + zr * zr))) * x * x)
-    chirp = np.concatenate([chirp, chirp[n - h - 1::-1]])  # the quarter's images at columns h ... N - 1
     gouy = np.exp(-1j * (np.arange(big_k + 1) + 1) * math.atan2(z, zr))
     for arr in (chirp, gouy):
         arr.flags.writeable = False

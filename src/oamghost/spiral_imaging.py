@@ -10,7 +10,7 @@ The two coherent passes run on Hermite-Gaussian tables (field_grid). An
 LG mode of order N = 2p + |l| is sum_k i^k d_k h_{N-k}(x) h_k(y) times the
 chirp exp(i k (x^2 + y^2) / 2R) and the Gouy phase exp(-i (N + 1) psi), so
 both passes separate into real products with the whole-axis table h_m(x),
-which also serves the rows (row i sits at y = -x_i, and
+which also serves the rows (row i sits at y = -x_i exactly, and
 h_n(-x) = (-1)^n h_n(x)). object_spectrum dechirps the object a block of
 rows at a time, projects each block on the table and adds its rank-r share
 to the HG moments; render_pure_image expands its table of HG weights over x
@@ -25,13 +25,12 @@ In a caller that imported numpy first, OpenBLAS splits a product over its
 pool once m n k exceeds 262144, so field_grid._row_blocks sizes every block
 below that (README, "Threads").
 
-render_background's raster is radial and even under both mirrors, so it
-gathers one profile over the radius shells (field_grid._shells) onto the
-quarter and pads it out to the window. Only its weight sum P |A|^2 depends
-on the object. Its profile sum P |LG|^2 is the quadratic form h^T Q h in
-the HG functions at the shell radii, with Q from the spectrum: it depends
-on the spectrum, beam, grid and plane alone and is cached
-(_background_profile), so a sweep that renders many objects at a few
+render_background's raster is radial, so it gathers one profile over the
+radius shells (field_grid._shells) onto the window. Only its weight
+sum P |A|^2 depends on the object. Its profile sum P |LG|^2 is the
+quadratic form h^T Q h in the HG functions at the shell radii, with Q from
+the spectrum: it depends on the spectrum, beam, grid and plane alone and is
+cached (_background_profile), so a sweep that renders many objects at a few
 planes builds it once per plane.
 """
 
@@ -284,20 +283,16 @@ def render_background(
     weight = sum P |A|^2 over the truncation; the raster is
     weight * sum_{l', p'} P_{l', p'} |LG_{l', p'}(rho, z2)|^2, azimuthally
     symmetric because every |LG|^2 is purely radial: one profile over the
-    radius shells, gathered once onto the quarter and padded out to the
-    window by reflection. Only the
-    weight depends on the object; the profile is cached (_background_profile)
-    and each call scales and gathers it into a fresh raster.
+    radius shells, gathered once onto the window. Only the weight depends on
+    the object; the profile is cached (_background_profile) and each call
+    scales and gathers it into a fresh raster.
     """
     _check_truncation(coeffs, spectrum)
     _warn_if_clipped(coeffs.beam, spec, float(z2), spectrum.l_max, spectrum.p_max)
     weight = float(np.sum(spectrum.amplitudes * np.abs(coeffs.values) ** 2))
     profile = _background_profile(spectrum.amplitudes.tobytes(), spectrum.l_max, spectrum.p_max,
                                   coeffs.beam, spec, float(z2))
-    quarter = (weight * profile)[_shells(spec)[1]]
-    flip = slice(spec.side_points - quarter.shape[0] - 1, None, -1)  # m - 1 ... 0, the images of h ... N - 1
-    half = np.concatenate([quarter, quarter[:, flip]], axis=1)
-    return np.concatenate([half, half[flip]]), weight
+    return (weight * profile)[_shells(spec)[1]], weight
 
 
 def render_total(

@@ -306,8 +306,10 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
     results.append(CheckResult("two-term-identity", iden <= 1e-12,
                                f"max |total - (background + |pure|^2)| = {iden:.3e} of peak"))
     capture = coeffs.power() / (float(np.sum(np.abs(obj.samples) ** 2)) * spec.pixel_area)
-    results.append(CheckResult("mode-capture", capture >= 0.95,
-                               f"truncation captures {capture:.4f} of object power (floor 0.95)"))
+    # Modes orthonormal within _NORM_TOLERANCE capture at most all of the power, give or take that.
+    results.append(CheckResult("mode-capture", 0.95 <= capture <= 1.0 + _NORM_TOLERANCE,
+                               f"truncation captures {capture:.4f} of object power "
+                               f"(floor 0.95, ceiling {1.0 + _NORM_TOLERANCE:g})"))
     defect, mode = max(_worst_norm_defect(beam, spec, z, l_max, p_max) for z in (-z1, z2))  # cached
     results.append(CheckResult("basis-norm", defect <= _NORM_TOLERANCE,
                                f"max |norm^2 - 1| = {defect:.3e} at {mode} on the window "

@@ -505,14 +505,19 @@ def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):
     assert "5/5 checks passed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("grid, pixels", [("2", 4), ("3", 9), ("4", 16)])
+@pytest.mark.parametrize("grid, pixels", [("2", 4), ("3", 9), ("4", 16), ("64", 16)])
 def test_verify_imaging_on_a_window_of_fewer_than_16_pixels(tmp_path, capsys, grid, pixels):
-    # The background oracle drew 16 distinct pixels, more than a 2^2 or 3^2 window holds.
+    # The background oracle drew 16 distinct pixels, more than a 2^2 or 3^2 window holds. Each of
+    # these windows undersamples the modes: the capture falls under its floor at 2^2 and 4^2 and
+    # rises over its ceiling at 3^2 and 64^2, where orthonormal modes would capture at most all of it.
     with pytest.warns(ModeClippedWarning):
         code = main(["verify", "--suite", "imaging", "--grid", grid, "--out", str(tmp_path)])
     assert code == EXIT_VERIFY
     out = capsys.readouterr().out
     assert "[FAIL] basis-norm" in out
+    capture = {"2": "0.0141", "3": "822.1276", "4": "0.0032", "64": "1.8783"}[grid]
+    assert (f"[FAIL] mode-capture: truncation captures {capture} of object power (floor 0.95, ceiling 1.001)"
+            in out)
     assert f"at {pixels} seeded pixels (tol 1e-10)" in out
     assert sum(line.startswith(("[ok]", "[FAIL]")) for line in out.splitlines()) == 9
 

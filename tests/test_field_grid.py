@@ -17,6 +17,7 @@ from oamghost.field_grid import (
     inner_product,
     _axis_table,
     _hermite,
+    _hg_tables,
     _lg_to_hg,
     _mode_norms,
     _shells,
@@ -48,6 +49,35 @@ def test_grid_spec_axis_and_pitch():
     assert x[0, 0] == -3.0 and x[0, -1] == 3.0
     # row 0 is the top of the window
     assert y[0, 0] == 3.0 and y[-1, 0] == -3.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(side=st.integers(2, 4096),
+       extent=st.floats(0.0, exclude_min=True, allow_nan=False, allow_infinity=False))
+def test_axis_is_exactly_antisymmetric(side, extent):
+    # Bit for bit: the engine puts window row i at y = -x_i, and grids() at axis[::-1].
+    ax = GridSpec(side, extent).axis()
+    assert np.array_equal(ax[::-1], -ax)
+    x, y = GridSpec(min(side, 512), extent).grids()  # two 128 MB rasters at 4096^2
+    assert np.array_equal(y, -x.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(side=st.integers(2, 4096), w=st.floats(1e-5, 1e-2), widths=st.floats(1.0, 40.0),
+       big_k=st.integers(0, 180), z=st.floats(-3.0, 3.0))
+def test_axis_tables_are_exactly_parity_symmetric(side, w, widths, big_k, z):
+    # Bit for bit on the whole axis: h_m(-x) = (-1)^m h_m(x), and the chirp is even. This also fails
+    # on a platform whose exp gives one argument different values at different array positions.
+    beam = BeamSpec(w)
+    spec = GridSpec(side, widths * w)
+    try:
+        table, chirp, _ = _hg_tables(beam, spec, z * beam.rayleigh_range, big_k)
+        signs = (-1.0) ** np.arange(big_k + 1)
+        assert np.array_equal(table[:, ::-1], signs[:, None] * table)
+        assert np.array_equal(chirp[::-1], chirp)
+    finally:  # a 4096-point table at K = 180 is 5.9 MB: keep the caches small
+        _hg_tables.cache_clear()
+        _axis_table.cache_clear()
 
 
 def test_grid_spec_validation():
@@ -430,8 +460,9 @@ def test_iter_conjugation_identity_off_focus(side, extent, l, p, z, sign):
 @settings(max_examples=40, deadline=None)
 @given(side=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
 def test_render_background_is_the_unfold_of_its_even_quarter(side, seed):
-    # render_background pads its quarter out to the window: every pixel is the quarter pixel of its
-    # mirror row and column min(k, N - 1 - k), written here as an index gather.
+    # The background is radial on an exactly antisymmetric axis, so it is even under both mirrors:
+    # every pixel equals the pixel of the window's top-left quarter at its mirror row and column
+    # min(k, N - 1 - k), written here as an index gather.
     rng = np.random.default_rng(seed)
     h = (side + 1) // 2
     coeffs = ModeCoefficients(1, 1, rng.normal(size=(3, 2)), 0.0, BEAM)
@@ -445,17 +476,10 @@ def test_render_background_is_the_unfold_of_its_even_quarter(side, seed):
 def test_shell_radii_match_polar(side):
     spec = GridSpec(side, 8.0 * WAIST)
     r2, inverse = _shells(spec)
-    h = (side + 1) // 2
-    assert inverse.shape == (h, h)
+    assert inverse.shape == (side, side)
     r = spec.polar()[0]
     assert np.all(np.diff(r2) > 0)
-    # Row or column k of the window is the mirror image of quarter row or column
-    # min(k, N - 1 - k).
-    k = np.arange(side)
-    rows, cols = np.ix_(np.minimum(k, side - 1 - k), np.minimum(k, side - 1 - k))
-    # polar() forms each coordinate as (i + 1/2) pitch - extent / 2, whose rounding
-    # error is absolute, so near the centre the tolerance scales with the window.
-    np.testing.assert_allclose(r2[inverse[rows, cols]], r * r, rtol=1e-14, atol=1e-14 * r2[-1])
+    np.testing.assert_allclose(r2[inverse], r * r, rtol=1e-15, atol=0)
 
 
 def test_shells_read_only_and_cached():
@@ -463,7 +487,7 @@ def test_shells_read_only_and_cached():
     assert spec.side_points == 64 and isinstance(spec.side_points, int)
     arrays = _shells(spec)
     assert all(not a.flags.writeable for a in arrays)
-    assert arrays[1].shape == (32, 32)
+    assert arrays[1].shape == (64, 64)
     assert _shells(GridSpec(64, 1e-2))[1] is arrays[1]
     with pytest.raises(ValueError):
         arrays[1][0, 0] = 1
@@ -472,10 +496,10 @@ def test_shells_read_only_and_cached():
 
 
 def test_shell_count_at_512():
-    # The 256^2 quarter of the window holds every one of its radius shells.
+    # 20,604 radius shells cover the 262,144 pixels of the window, each shell at least once.
     r2, inverse = _shells(GridSpec(512, 1e-2))
     assert r2.size == 20604
-    assert inverse.shape == (256, 256)
+    assert inverse.shape == (512, 512)
     assert np.array_equal(np.unique(inverse), np.arange(r2.size))
 
 

@@ -379,9 +379,8 @@ def test_render_pure_image_is_the_adjoint_of_object_spectrum(side, lm, pm, z, se
                          ids=["0.0", "0.5", "0.0-81", "0.5-81"])
 def test_engine_matches_pointwise_oracle(z, side):
     # Per-mode references from lg_amplitude at every pixel; the HG tables must
-    # agree to roundoff in all four consumers. The background is gathered on
-    # one quarter of the window and mirrored; the odd side has a centre row
-    # and column, which are their own mirror images.
+    # agree to roundoff in all four consumers. The odd side has a centre row
+    # and column at x = 0 and y = 0 exactly.
     lm = pm = 6
     spec = default_grid(BEAM, l_max=lm, p_max=pm, side_points=side, z=z)
     rng = np.random.default_rng(11)
