@@ -479,7 +479,7 @@ def run_command(config: RunConfig) -> int:
         return EXIT_IO
     try:
         return _COMMANDS[config.command][0](config)
-    except (UsageError, ValueError, ArithmeticError) as exc:  # ArithmeticError: e.g. w(z) overflows
+    except (UsageError, ValueError, ArithmeticError) as exc:  # ArithmeticError: an overflow no check names
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

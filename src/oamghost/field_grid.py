@@ -9,10 +9,17 @@ There are two LG evaluators:
 
 - lg_amplitude evaluates one mode at arbitrary polar points and serves as
   the independent pointwise oracle;
-- the HG tables (_lg_to_hg, _hg_tables) serve everything else: the rasters
-  of render_pure_image and iter_lg_rasters (one synthesis path, _hg_raster),
-  object_spectrum, the mode norms (_mode_norms), the background profile and
-  the CSD quadrature.
+- the HG tables serve everything else. This module is the package's one
+  mode engine: the LG-to-HG map (_lg_to_hg, _order_blocks), the 1-D tables
+  (_hg_tables, one cache entry per plane) and every pass that reads them
+  live here alone. The passes:
+  - _hg_raster, the synthesis behind render_pure_image and iter_lg_rasters;
+  - _hg_overlaps, its adjoint, the analysis behind object_spectrum;
+  - _hg_pair_overlaps, the overlaps of a separable correlation with mode
+    pairs, behind csd_mode_decompose;
+  - _mode_norms, the discrete norms that judge each window;
+  - _background_profile, sum P |LG|^2 over the radius shells, behind
+    render_background.
 
 The HG tables use that an LG mode of order N = 2p + |l| is a fixed unitary
 mix of the Hermite-Gaussian products h_{N-k}(x) h_k(y), whose chirp factors
@@ -210,6 +217,13 @@ class BeamSpec:
             raise ValueError(f"waist must be positive and finite, got {self.waist}")
         if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
             raise ValueError(f"wavelength must be positive and finite, got {self.wavelength}")
+        try:
+            zr = self.rayleigh_range
+        except OverflowError:
+            zr = math.inf
+        if not (zr > 0 and math.isfinite(zr)):
+            raise ValueError(f"Rayleigh range pi w0^2 / lambda = {zr:g} m must be positive and finite "
+                             f"(waist {self.waist:g} m, wavelength {self.wavelength:g} m)")
 
     @property
     def rayleigh_range(self) -> float:
@@ -220,8 +234,15 @@ class BeamSpec:
         return 2.0 * math.pi / self.wavelength
 
     def width(self, z: float) -> float:
-        """Beam radius w(z) = w0 sqrt(1 + (z/zR)^2)."""
-        return self.waist * math.sqrt(1.0 + (z / self.rayleigh_range) ** 2)
+        """Beam radius w(z) = w0 sqrt(1 + (z/zR)^2); refuses a w(z) that overflows."""
+        try:
+            w = self.waist * math.sqrt(1.0 + (z / self.rayleigh_range) ** 2)
+        except OverflowError:
+            w = math.inf
+        if not math.isfinite(w):
+            raise ValueError(f"beam width w(z) = {w:g} m at z = {z:g} m is not finite "
+                             f"(waist {self.waist:g} m, Rayleigh range {self.rayleigh_range:g} m)")
+        return w
 
 
 def _log_norm(l_abs: int, p: int) -> float:
@@ -252,15 +273,9 @@ def lg_amplitude(mode: ModeIndex, beam: BeamSpec, radius, azimuth, z: float = 0.
     l_abs = abs(mode.l)
     p = mode.p
     zr = beam.rayleigh_range
-    if z == 0.0:
-        w = beam.waist
-        curvature = 0.0
-        gouy = 0.0
-    else:
-        w = beam.width(z)
-        big_r = z * (1.0 + (zr / z) ** 2)
-        curvature = beam.wavenumber / (2.0 * big_r)
-        gouy = (2 * p + l_abs + 1) * math.atan2(z, zr)
+    w = beam.width(z)
+    curvature = beam.wavenumber * z / (2.0 * (z * z + zr * zr))  # k / 2R(z), 0 at the waist
+    gouy = (2 * p + l_abs + 1) * math.atan2(z, zr)
     r2 = r * r
     envelope = np.exp(_log_norm(l_abs, p) + xlogy(l_abs, math.sqrt(2.0) * r / w) - r2 / (w * w))
     radial = envelope / w * eval_genlaguerre(p, l_abs, 2.0 * r2 / (w * w))
@@ -307,7 +322,7 @@ def _hermite(x: np.ndarray, w: float, big_k: int, out: np.ndarray) -> np.ndarray
 
     The Hermite functions psi_m come from their normalised three-term recurrence, which stays
     bounded at every order. It is the package's one Hermite evaluator: the axis tables
-    (_axis_table), and the background profile's h_m at the shell radii and h_k(0) at x = 0.
+    (_hg_tables), and the background profile's h_m at the shell radii and h_k(0) at x = 0.
     """
     t = math.sqrt(2.0) / w * x
     out[0] = (2.0 / (math.pi * w * w)) ** 0.25 * np.exp(-0.5 * t * t)
@@ -373,38 +388,28 @@ def _lg_to_hg(l_max: int, p_max: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _axis_table(spec: GridSpec, w: float, big_k: int) -> np.ndarray:
-    """Read-only real (K + 1, N) h_m(x) at the window's columns for the beam width w (_hermite).
-
-    The axis is exactly antisymmetric, so table[:, ::-1] == (-1)^m table bit for bit, and window
-    row i, at y = -x_i, has h_n(y) = (-1)^n table[n, i]. Cached by width, so the planes -z and +z
-    share one table.
-    """
-    # Column-major, so a block of window rows table.T[rows] is contiguous: OpenBLAS multiplies a
-    # few contiguous rows faster than a transposed block.
-    table = _hermite(spec.axis(), w, big_k, np.empty((spec.side_points, big_k + 1)).T)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=16)
 def _hg_tables(beam: BeamSpec, spec: GridSpec, z: float, big_k: int):
     """Read-only 1-D HG tables of the window's axis x at plane z: (table, chirp, gouy).
 
-    - table: the real (K + 1, N) h_m(x) at the window's columns (_axis_table);
+    - table: the real (K + 1, N) h_m(x) at the window's columns for the beam width w(z)
+      (_hermite). The axis is exactly antisymmetric, so table[:, ::-1] == (-1)^m table bit for bit,
+      and window row i, at y = -x_i, has h_n(y) = (-1)^n table[n, i];
     - chirp: the (N,) curvature phase exp(i k x^2 / 2R(z)), even like x^2: the window's is
       outer(chirp, chirp);
     - gouy: the (K + 1,) phases exp(-i (N + 1) arctan(z/zR)) of the orders N = 0 ... K.
 
-    Cached: a sweep renders at a few planes over and over.
+    The package's one table cache, one entry per plane: a sweep renders at a few planes over and over.
     """
     zr = beam.rayleigh_range
     x = spec.axis()
+    # Column-major, so a block of window rows table.T[rows] is contiguous: OpenBLAS multiplies a
+    # few contiguous rows faster than a transposed block.
+    table = _hermite(x, beam.width(z), big_k, np.empty((spec.side_points, big_k + 1)).T)
     chirp = np.exp(1j * (beam.wavenumber * z / (2.0 * (z * z + zr * zr))) * x * x)
     gouy = np.exp(-1j * (np.arange(big_k + 1) + 1) * math.atan2(z, zr))
-    for arr in (chirp, gouy):
+    for arr in (table, chirp, gouy):
         arr.flags.writeable = False
-    return _axis_table(spec, beam.width(z), big_k), chirp, gouy
+    return table, chirp, gouy
 
 
 def _order_blocks(l_max: int, p_max: int):
@@ -441,7 +446,7 @@ def _mode_norms(beam: BeamSpec, spec: GridSpec, z_abs: float, l_max: int, p_max:
     sweep's jobs, share one pass.
     """
     *_, big_k = _lg_to_hg(l_max, p_max)
-    table = _axis_table(spec, beam.width(z_abs), big_k)
+    table = _hg_tables(beam, spec, z_abs, big_k)[0]
     gram = np.einsum("mi,ni->mn", table, table) * spec.pixel_pitch  # einsum: no BLAS product to block
     gram[::2, 1::2] = gram[1::2, ::2] = 0.0  # mixed parity
     norms = np.empty((l_max + 1) * (p_max + 1))
@@ -452,6 +457,49 @@ def _mode_norms(beam: BeamSpec, spec: GridSpec, z_abs: float, l_max: int, p_max:
     norms = norms.reshape(l_max + 1, p_max + 1)
     norms.flags.writeable = False
     return norms
+
+
+_SHELL_BLOCK = 32768  # Hermite values (orders x shells) per block of the background profile
+
+
+@functools.lru_cache(maxsize=8)
+def _background_profile(amplitudes: bytes, l_max: int, p_max: int, beam: BeamSpec, spec: GridSpec,
+                        z2: float) -> np.ndarray:
+    """Read-only (S,) profile sum_{l, p} P_{l, p} |LG_{l, p}|^2 over the radius shells at plane z2.
+
+    sum P |LG|^2 is radial, so it is taken on the x axis at the shell radii r. There
+    h_k(0) = 0 for odd k makes each mode real up to its phase, LG(r, 0) = sum_m A[mode, m] h_m(r)
+    with A[mode, N - k] = w_k h_k(0) for the signed weights w_k (_order_blocks), and the profile is
+    h(r)^T Q h(r) with Q = A^T diag(P) A, built order by order like _mode_norms' forms. Both h_k(0)
+    and the h_m(r) come from _hermite, the latter _SHELL_BLOCK values at a time.
+
+    It depends on the spectrum (its float64 amplitude table as bytes, so the
+    key compares by value), the beam, the grid and the plane, never on the
+    object, so a sweep that renders many objects builds it once per plane.
+    """
+    table = np.frombuffer(amplitudes).reshape(2 * l_max + 1, p_max + 1)
+    amps = table[l_max:].copy()
+    amps[1:] += table[l_max - 1::-1]  # LG(l, p) and LG(-l, p) share |LG|^2
+    amps = amps.ravel()
+    *_, big_k = _lg_to_hg(l_max, p_max)
+    w = beam.width(z2)
+    at_zero = _hermite(np.zeros(1), w, big_k, np.empty((big_k + 1, 1)))[:, 0]  # h_k(0), 0 for odd k
+    q = np.zeros((big_k + 1, big_k + 1))  # Q = A^T diag(P) A
+    for n, j, weights in _order_blocks(l_max, p_max):
+        a = weights[:, ::2] * at_zero[:n + 1:2]  # a[mode, k / 2] = A[mode, N - k] for even k
+        for rows in _row_blocks(j.size, a.shape[1] ** 2):
+            q[n::-2, n::-2] += a[rows].T @ (amps[j[rows], None] * a[rows])
+    r2, _ = _shells(spec)
+    profile = np.empty(r2.size)
+    step = max(1, _SHELL_BLOCK // (big_k + 1))
+    buffer = np.empty((big_k + 1, min(step, r2.size)))
+    for start in range(0, r2.size, step):
+        out = profile[start:start + step]
+        h = _hermite(np.sqrt(r2[start:start + step]), w, big_k, buffer[:, :out.size])  # h_m(r_s) on the x axis
+        for cols in _row_blocks(out.size, q.size):
+            out[cols] = np.einsum("ms,ms->s", q @ h[:, cols], h[:, cols])
+    profile.flags.writeable = False
+    return profile
 
 
 @functools.lru_cache(maxsize=16)
@@ -508,6 +556,73 @@ def _hg_raster(values: np.ndarray, beam: BeamSpec, spec: GridSpec, z: float, l_m
     # raster is finite and needs no scan; an inf or NaN in the inputs makes the bound fail the test.
     bound = np.abs(table).max() * np.abs(across).max(axis=1).sum() * np.abs(chirp).max()
     return raster, bool(bound < 1e300)
+
+
+def _hg_overlaps(samples: np.ndarray, beam: BeamSpec, spec: GridSpec, z: float, l_max: int,
+                 p_max: int) -> np.ndarray:
+    """The (2 l_max + 1, p_max + 1) overlaps <LG(l, p)|samples> at plane z: _hg_raster's adjoint.
+
+    The package's one analysis path, behind object_spectrum. Block by block of rows, the dechirped
+    samples go through one real product with the 1-D HG table and add their rank-r share to the HG
+    moments; each mode's overlap is its signed-weight sum of the moments of its order. The caller
+    judges the window (_warn_if_clipped).
+    """
+    mode, flat, weight, order, big_k = _lg_to_hg(l_max, p_max)
+    table, chirp, gouy = _hg_tables(beam, spec, z, big_k)
+    side, k = spec.side_points, big_k + 1
+    dechirp = np.conj(chirp)
+    scale = dechirp * spec.pixel_area
+    # moments[n, part, m]: real and imaginary parts of the window sums of h_m(x) table[n, row] times
+    # the dechirped samples, so without the sign (-1)^n of h_n(y) = (-1)^n table[n, row].
+    moments = np.zeros((k, 2 * k))
+    for rows in _row_blocks(side, 2 * k * max(side, k)):
+        block = samples[rows] * dechirp
+        block *= scale[rows, None]
+        parts = np.empty((block.shape[0], 2, side))  # rows (i, re / im)
+        parts[:, 0], parts[:, 1] = block.real, block.imag
+        moments += table[:, rows] @ (parts.reshape(-1, side) @ table.T).reshape(-1, 2 * k)
+    moments = moments.reshape(k, 2, k).transpose(1, 0, 2)
+    # Odd n: times (-1)^n for the rows and conj(i^(n % 2)), which weight leaves out: i (re + i im).
+    moments[:, 1::2] = np.stack([-moments[1, 1::2], moments[0, 1::2]])
+    sums = [np.bincount(mode, weight * part.ravel()[flat], order.size) for part in moments]
+    return (sums[0] + 1j * sums[1]).reshape(order.shape) * np.conj(gouy[order])
+
+
+def _hg_pair_overlaps(envelope: np.ndarray, kernel: np.ndarray, beam: BeamSpec, spec: GridSpec,
+                      l_max: int, p_max: int) -> np.ndarray:
+    """f[l, l', p, p'] = sum W(r1, r2) conj(LG(l, p)(r1) LG(l', p')(r2)) dA^2 over pixel pairs, z = 0.
+
+    For a correlation W = E(r1) E(r2) K(r1 - r2) that factors over x and y into the (N,) envelope
+    e(x) and the (N, N) kernel k(x, x'), both even: the CSD quadrature. Each mode is the
+    real-weighted mix sum_k i^k d_k h_{N-k}(x) h_k(y) of HG products (_lg_to_hg), so the sum is one
+    real 1-D matrix over the HG orders,
+
+        A[m, m'] = sum_{x, x'} e(x) k(x, x') e(x') h_m(x) h_m'(x') dx^2,
+
+    contracted on each axis with the modes' HG weights. A vanishes where m and m' differ in parity
+    and is set to exactly 0 there. The surviving terms pair k with a k' of its parity, whose phase
+    conj(i^k) conj(i^k') is, beside the signed weights, -1 for odd k and 1 for even k. Returned in
+    _lattice_table's pairs layout.
+    """
+    mode, flat, weight, order, big_k = _lg_to_hg(l_max, p_max)
+    # Row-major (the cached table is column-major), so einsum below sums along contiguous rows.
+    table = np.multiply(_hg_tables(beam, spec, 0.0, big_k)[0], envelope, order="C")
+    parity = np.arange(big_k + 1) % 2
+    # np.einsum, not a BLAS @: when the caller imported numpy before oamghost,
+    # OpenBLAS keeps its thread pool, and its idle worker spins beside a product.
+    a = np.einsum("mj,nj->mn", np.einsum("mi,ij->mj", table, kernel), table) * spec.pixel_area
+    a[parity[:, None] != parity[None, :]] = 0.0
+
+    # hg[b, n, m]: the HG weight of h_m(x) h_n(y) in mode b; blurred[n, m, b] is hg with A on both axes.
+    hg = np.zeros((order.size, (big_k + 1) ** 2))
+    hg[mode, flat] = weight
+    hg = hg.reshape(order.size, big_k + 1, big_k + 1)
+    blurred = np.einsum("bnM,mM->nmb", np.einsum("nN,bNM->bnM", a, hg), a).reshape(-1, order.size)
+    signed = np.where(flat // (big_k + 1) % 2, -weight, weight)  # conj(i^k)^2 = -1 for odd k = n
+    counts = order.ravel() + 1  # each mode's entries k = 0 ... N, one after another
+    f = np.add.reduceat(blurred[flat] * signed[:, None], np.cumsum(counts) - counts)
+    nl, np_ = order.shape
+    return f.reshape(nl, np_, nl, np_).transpose(0, 2, 1, 3)
 
 
 def iter_lg_rasters(beam: BeamSpec, spec: GridSpec, z: float, modes):

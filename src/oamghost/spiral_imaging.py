@@ -6,37 +6,21 @@ and the image plane at +z2 receives a coherent "pure" term on top of an
 object-weighted incoherent background. The total intensity is
 background + |pure|^2 by construction.
 
-The two coherent passes run on Hermite-Gaussian tables (field_grid). An
-LG mode of order N = 2p + |l| is sum_k i^k d_k h_{N-k}(x) h_k(y) times the
-chirp exp(i k (x^2 + y^2) / 2R) and the Gouy phase exp(-i (N + 1) psi), so
-both passes separate into real products with the whole-axis table h_m(x),
-which also serves the rows (row i sits at y = -x_i exactly, and
-h_n(-x) = (-1)^n h_n(x)). object_spectrum dechirps the object a block of
-rows at a time, projects each block on the table and adds its rank-r share
-to the HG moments; render_pure_image expands its table of HG weights over x
-once and writes the raster a block of rows at a time, each block one real
-product into the complex raster's own memory. Neither allocates anything
-window-sized but its output. The chirp is applied elementwise, so every
-product is real. On a 2-vCPU x86-64 host a pass at 256^2 with l_max = 5,
-p_max = 9 takes about 0.4-0.6 ms.
-
-A CLI process loads OpenBLAS with one thread (see the package docstring).
-In a caller that imported numpy first, OpenBLAS splits a product over its
-pool once m n k exceeds 262144, so field_grid._row_blocks sizes every block
-below that (README, "Threads").
-
-render_background's raster is radial, so it gathers one profile over the
-radius shells (field_grid._shells) onto the window. Only its weight
-sum P |A|^2 depends on the object. Its profile sum P |LG|^2 is the
-quadratic form h^T Q h in the HG functions at the shell radii, with Q from
-the spectrum: it depends on the spectrum, beam, grid and plane alone and is
-cached (_background_profile), so a sweep that renders many objects at a few
-planes builds it once per plane.
+Each pass is a call into field_grid's mode engine, which holds the LG-to-HG
+map and everything that reads it (see its docstring): object_spectrum is its
+analysis pass _hg_overlaps at -z1, render_pure_image its synthesis pass
+_hg_raster at +z2, and render_background gathers its cached profile
+sum P |LG|^2 over the radius shells (_background_profile, _shells) onto the
+window. This module keeps the imaging physics: the object's plane, the image
+table P conj(A) of the modes (-l, p), the background weight sum P |A|^2,
+which alone depends on the object, the two-term total and the PGM files.
+Every pass judges its window itself (_warn_if_clipped). On a 2-vCPU x86-64
+host a coherent pass at 256^2 with l_max = 5, p_max = 9 takes about
+0.4-0.6 ms.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -46,15 +30,12 @@ from .field_grid import (
     BeamSpec,
     ComplexField,
     GridSpec,
-    _hermite,
+    _background_profile,
+    _hg_overlaps,
     _hg_raster,
-    _hg_tables,
     _lattice_entry,
     _lattice_shape,
     _lattice_table,
-    _lg_to_hg,
-    _order_blocks,
-    _row_blocks,
     _shells,
     _warn_if_clipped,
 )
@@ -177,36 +158,11 @@ def _check_truncation(coeffs: ModeCoefficients, spectrum: SpiralSpectrum) -> Non
 
 
 def object_spectrum(obj: ComplexField, beam: BeamSpec, z1: float, l_max: int, p_max: int) -> ModeCoefficients:
-    """Overlap coefficients of the object against LG modes at plane -z1.
-
-    Block by block of rows, the dechirped object goes through one real
-    product with the 1-D HG table and adds its rank-r share to the HG
-    moments; each mode's coefficient is its d_k-weighted sum of the
-    moments of its order.
-    """
+    """Overlap coefficients of the object against LG modes at plane -z1, through field_grid._hg_overlaps."""
     _lattice_shape(l_max, p_max)  # refuse a negative truncation before the passes
     plane = 0.0 - float(z1)  # not -z1, which makes the plane z1 = 0 into -0.0
-    spec = obj.spec
-    _warn_if_clipped(beam, spec, plane, l_max, p_max)
-    mode, flat, weight, order, big_k = _lg_to_hg(l_max, p_max)
-    table, chirp, gouy = _hg_tables(beam, spec, plane, big_k)
-    side, k = spec.side_points, big_k + 1
-    dechirp = np.conj(chirp)
-    scale = dechirp * spec.pixel_area
-    # moments[n, part, m]: real and imaginary parts of the window sums of h_m(x) table[n, row] times
-    # the dechirped object, so without the sign (-1)^n of h_n(y) = (-1)^n table[n, row].
-    moments = np.zeros((k, 2 * k))
-    for rows in _row_blocks(side, 2 * k * max(side, k)):
-        block = obj.samples[rows] * dechirp
-        block *= scale[rows, None]
-        parts = np.empty((block.shape[0], 2, side))  # rows (i, re / im)
-        parts[:, 0], parts[:, 1] = block.real, block.imag
-        moments += table[:, rows] @ (parts.reshape(-1, side) @ table.T).reshape(-1, 2 * k)
-    moments = moments.reshape(k, 2, k).transpose(1, 0, 2)
-    # Odd n: times (-1)^n for the rows and conj(i^(n % 2)), which weight leaves out: i (re + i im).
-    moments[:, 1::2] = np.stack([-moments[1, 1::2], moments[0, 1::2]])
-    sums = [np.bincount(mode, weight * part.ravel()[flat], order.size) for part in moments]
-    values = (sums[0] + 1j * sums[1]).reshape(order.shape) * np.conj(gouy[order])
+    _warn_if_clipped(beam, obj.spec, plane, l_max, p_max)
+    values = _hg_overlaps(obj.samples, beam, obj.spec, plane, l_max, p_max)
     return ModeCoefficients(l_max, p_max, values, plane, beam)
 
 
@@ -227,49 +183,6 @@ def render_pure_image(coeffs: ModeCoefficients, spec: GridSpec, z2: float) -> Co
     _warn_if_clipped(coeffs.beam, spec, float(z2), coeffs.l_max, coeffs.p_max)
     raster, finite = _hg_raster(coeffs.values, coeffs.beam, spec, float(z2), coeffs.l_max, coeffs.p_max)
     return ComplexField._adopt(spec, raster, finite=finite)  # a fresh raster: no copy
-
-
-_SHELL_BLOCK = 32768  # Hermite values (orders x shells) per block of the background profile
-
-
-@functools.lru_cache(maxsize=8)
-def _background_profile(amplitudes: bytes, l_max: int, p_max: int, beam: BeamSpec, spec: GridSpec,
-                        z2: float) -> np.ndarray:
-    """Read-only (S,) profile sum_{l, p} P_{l, p} |LG_{l, p}|^2 over the radius shells at plane z2.
-
-    sum P |LG|^2 is radial, so it is taken on the x axis at the shell radii r. There
-    h_k(0) = 0 for odd k makes each mode real up to its phase, LG(r, 0) = sum_m A[mode, m] h_m(r)
-    with A[mode, N - k] = w_k h_k(0) for the signed weights w_k (field_grid._order_blocks), and the
-    profile is h(r)^T Q h(r) with Q = A^T diag(P) A, built order by order. Both h_k(0) and the
-    h_m(r) come from field_grid._hermite, the latter _SHELL_BLOCK values at a time.
-
-    It depends on the spectrum (its float64 amplitude table as bytes, so the
-    key compares by value), the beam, the grid and the plane, never on the
-    object, so a sweep that renders many objects builds it once per plane.
-    """
-    table = np.frombuffer(amplitudes).reshape(2 * l_max + 1, p_max + 1)
-    amps = table[l_max:].copy()
-    amps[1:] += table[l_max - 1::-1]  # LG(l, p) and LG(-l, p) share |LG|^2
-    amps = amps.ravel()
-    *_, big_k = _lg_to_hg(l_max, p_max)
-    w = beam.width(z2)
-    at_zero = _hermite(np.zeros(1), w, big_k, np.empty((big_k + 1, 1)))[:, 0]  # h_k(0), 0 for odd k
-    q = np.zeros((big_k + 1, big_k + 1))  # Q = A^T diag(P) A
-    for n, j, weights in _order_blocks(l_max, p_max):
-        a = weights[:, ::2] * at_zero[:n + 1:2]  # a[mode, k / 2] = A[mode, N - k] for even k
-        for rows in _row_blocks(j.size, a.shape[1] ** 2):
-            q[n::-2, n::-2] += a[rows].T @ (amps[j[rows], None] * a[rows])
-    r2, _ = _shells(spec)
-    profile = np.empty(r2.size)
-    step = max(1, _SHELL_BLOCK // (big_k + 1))
-    buffer = np.empty((big_k + 1, min(step, r2.size)))
-    for start in range(0, r2.size, step):
-        out = profile[start:start + step]
-        h = _hermite(np.sqrt(r2[start:start + step]), w, big_k, buffer[:, :out.size])  # h_m(r_s) on the x axis
-        for cols in _row_blocks(out.size, q.size):
-            out[cols] = np.einsum("ms,ms->s", q @ h[:, cols], h[:, cols])
-    profile.flags.writeable = False
-    return profile
 
 
 def render_background(

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_grid import (BeamSpec, GridSpec, ModeIndex, _hg_tables, _lattice_entry, _lattice_shape,
-                         _lattice_table, _lg_to_hg, _warn_if_clipped, default_grid)
+from .field_grid import (BeamSpec, GridSpec, ModeIndex, _hg_pair_overlaps, _lattice_entry, _lattice_shape,
+                         _lattice_table, _warn_if_clipped, default_grid)
 
 __all__ = [
     "CsdTensor",
@@ -217,25 +217,18 @@ def csd_mode_decompose(geometry: SourceGeometry, l_max: int, p_max: int, spec: G
                           d^2 rho1 d^2 rho2
 
     as the plain midpoint-rule sum over the window's pixels, taken axis by
-    axis. W = E(rho1) E(rho2) K(rho1 - rho2) factors over x and y into one 1-D
-    envelope e and Toeplitz kernel k, and each mode is the real-weighted mix
-    sum_k i^k d_k h_{N-k}(x) h_k(y) of HG products (field_grid._lg_to_hg). So
-    the sum is one real 1-D matrix over the HG orders,
-
-        A[m, m'] = sum_{x, x'} e(x) k(x - x') e(x') h_m(x) h_m'(x') dx^2,
-
-    contracted on each axis with the modes' HG weights. e and k are even, so
-    A vanishes where m and m' differ in parity and is set to exactly 0 there.
-    The surviving terms pair k with a k' of its parity, whose phase
-    conj(i^k) conj(i^k') is, beside _lg_to_hg's signed weights, -1 for odd k
-    and 1 for even k. At sigma_g = inf the kernel is 1.
+    axis. The source supplies W = E(rho1) E(rho2) K(rho1 - rho2) as what it
+    is on one axis: the envelope e(x) = exp(-x^2 / 4 sigma_s^2) at the
+    window's columns and the Toeplitz kernel k(x, x') = exp(-(x - x')^2 /
+    2 sigma_g^2), both even (at sigma_g = inf the kernel is 1).
+    field_grid._hg_pair_overlaps contracts them with the HG tables of the
+    modes on both axes.
 
     This is a cross-check oracle, not a production path: truncations or grids
     beyond its runtime budget (l_max, p_max <= 10, side_points <= 512) are
     refused.
     """
-    nl, np_ = _lattice_shape(l_max, p_max)
-    n_modes = nl * np_
+    n_modes = math.prod(_lattice_shape(l_max, p_max))
     if l_max > 10 or p_max > 10 or spec.side_points > 512:
         raise ValueError(
             f"decomposition over {n_modes} modes on a {spec.side_points}^2 grid exceeds the "
@@ -254,25 +247,8 @@ def csd_mode_decompose(geometry: SourceGeometry, l_max: int, p_max: int, spec: G
 
     beam = BeamSpec(geometry.matched_waist)  # at z = 0 the modes do not depend on the wavelength
     _warn_if_clipped(beam, spec, 0.0, l_max, p_max)
-    mode, flat, weight, order, big_k = _lg_to_hg(l_max, p_max)
     x = spec.axis()
-    # Row-major (the cached table is column-major), so einsum below sums along contiguous rows.
-    table = np.multiply(_hg_tables(beam, spec, 0.0, big_k)[0], np.exp(-x * x / (4.0 * geometry.sigma_s ** 2)),
-                        order="C")
-    parity = np.arange(big_k + 1) % 2
+    envelope = np.exp(-x * x / (4.0 * geometry.sigma_s ** 2))
     offset = np.arange(spec.side_points) * spec.pixel_pitch
     kernel = np.exp(-((offset[:, None] - offset[None, :]) ** 2) / spread)
-    # np.einsum, not a BLAS @: when the caller imported numpy before oamghost,
-    # OpenBLAS keeps its thread pool, and its idle worker spins beside a product.
-    a = np.einsum("mj,nj->mn", np.einsum("mi,ij->mj", table, kernel), table) * spec.pixel_area
-    a[parity[:, None] != parity[None, :]] = 0.0
-
-    # hg[b, n, m]: the HG weight of h_m(x) h_n(y) in mode b; blurred[n, m, b] is hg with A on both axes.
-    hg = np.zeros((order.size, (big_k + 1) ** 2))
-    hg[mode, flat] = weight
-    hg = hg.reshape(order.size, big_k + 1, big_k + 1)
-    blurred = np.einsum("bnM,mM->nmb", np.einsum("nN,bNM->bnM", a, hg), a).reshape(-1, order.size)
-    signed = np.where(flat // (big_k + 1) % 2, -weight, weight)  # conj(i^k)^2 = -1 for odd k = n
-    counts = order.ravel() + 1  # each mode's entries k = 0 ... N, one after another
-    f = np.add.reduceat(blurred[flat] * signed[:, None], np.cumsum(counts) - counts)
-    return CsdTensor(l_max, p_max, f.reshape(nl, np_, nl, np_).transpose(0, 2, 1, 3))
+    return CsdTensor(l_max, p_max, _hg_pair_overlaps(envelope, kernel, beam, spec, l_max, p_max))

@@ -443,6 +443,21 @@ def test_extreme_finite_inputs_exit_without_traceback(tmp_path, capsys, argv, co
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--wavelength", "1e300"], "beam width"),  # z / zR overflows: zR is 1.6e-307 m
+    (["--z1", "1e300"], "beam width"),
+    (["--z2", "1e300"], "beam width"),
+    (["--sigma-s", "1e300"], "Rayleigh range"),  # w0^2 overflows
+    (["--sigma-s", "1e-300"], "Rayleigh range"),  # w0^2 underflows to 0
+])
+def test_image_names_an_unrepresentable_beam_before_writing(tmp_path, capsys, flags, named):
+    out = tmp_path / "o"
+    assert main(["image", "--grid", "32", "--out", str(out)] + flags) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the clover at 1e200 m
 @pytest.mark.parametrize("flags,named", [(["--extent", "1e-300"], "extent"), (["--sigma-g", "1e-300"], "sigma_g"),
                                          (["--extent", "1e200"], "extent")])

@@ -1,12 +1,15 @@
+import ast
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oamghost
 from oamghost.field_grid import (
     BeamSpec,
     ComplexField,
@@ -15,7 +18,6 @@ from oamghost.field_grid import (
     ModeIndex,
     default_grid,
     inner_product,
-    _axis_table,
     _hermite,
     _hg_tables,
     _lg_to_hg,
@@ -77,7 +79,6 @@ def test_axis_tables_are_exactly_parity_symmetric(side, w, widths, big_k, z):
         assert np.array_equal(chirp[::-1], chirp)
     finally:  # a 4096-point table at K = 180 is 5.9 MB: keep the caches small
         _hg_tables.cache_clear()
-        _axis_table.cache_clear()
 
 
 def test_grid_spec_validation():
@@ -327,14 +328,14 @@ def test_lg_amplitude_finite_at_high_order():
 
 
 def test_iter_renders_every_mode_on_one_lattice():
-    # One LG-to-HG map and one axis table for the call, so a caller's cached entries stay put.
+    # One LG-to-HG map and one HG table entry for the call, so a caller's cached entries stay put.
     spec = default_grid(BEAM, l_max=10, p_max=5, side_points=128)
     _lg_to_hg.cache_clear()
-    _axis_table.cache_clear()
+    _hg_tables.cache_clear()
     modes = [ModeIndex(l, p) for l in range(-10, 11) for p in range(6)]
     assert len(list(iter_lg_rasters(BEAM, spec, 0.0, modes))) == 126
     assert _lg_to_hg.cache_info().currsize == 1
-    assert _axis_table.cache_info().currsize == 1
+    assert _hg_tables.cache_info().currsize == 1
 
 
 # These windows sample the rasters pointwise against the oracle; they do not
@@ -550,3 +551,15 @@ def test_field_file_errors(tmp_path):
     truncated.write_bytes(blob[:-8])
     with pytest.raises(ValueError):
         read_field(truncated)
+
+
+def test_the_lg_to_hg_map_is_read_in_field_grid_alone():
+    # The map's layout and sign rules stay in one module: every other module calls a pass.
+    engine = {"_lg_to_hg", "_order_blocks", "_hg_tables", "_hermite", "_row_blocks"}
+    named = {}
+    for path in sorted(Path(oamghost.__file__).parent.glob("*.py")):
+        names = {getattr(node, key, None) for node in ast.walk(ast.parse(path.read_text()))
+                 for key in ("id", "attr", "name")}  # Name, Attribute, alias and def nodes
+        if names & engine:
+            named[path.name] = names & engine
+    assert named == {"field_grid.py": engine}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oamghost import spiral_imaging
+from oamghost import field_grid
 from oamghost.field_grid import (
     BeamSpec,
     ComplexField,
@@ -205,11 +205,11 @@ def _background_case(l_max=3, p_max=3):
 
 def test_render_background_cached_profile_is_bitwise_the_computed_one():
     coeffs, spectrum, spec = _background_case()
-    spiral_imaging._background_profile.cache_clear()
+    field_grid._background_profile.cache_clear()
     computed, weight = render_background(coeffs, spectrum, spec, Z2)
-    assert spiral_imaging._background_profile.cache_info().misses == 1
+    assert field_grid._background_profile.cache_info().misses == 1
     cached, cached_weight = render_background(coeffs, spectrum, spec, Z2)
-    assert spiral_imaging._background_profile.cache_info().hits == 1
+    assert field_grid._background_profile.cache_info().hits == 1
     np.testing.assert_array_equal(cached, computed)
     assert cached_weight == weight
 
@@ -221,7 +221,7 @@ def test_render_background_cache_keys_the_spectrum_by_value():
     flat_raster, flat_weight = render_background(coeffs, flat, spec, Z2)
     # Same shape, grid and plane: only the amplitude values tell the profiles apart.
     assert not np.allclose(thermal_raster / thermal_weight, flat_raster / flat_weight)
-    spiral_imaging._background_profile.cache_clear()
+    field_grid._background_profile.cache_clear()
     np.testing.assert_array_equal(render_background(coeffs, flat, spec, Z2)[0], flat_raster)
     np.testing.assert_array_equal(render_background(coeffs, thermal, spec, Z2)[0], thermal_raster)
 
@@ -236,10 +236,10 @@ def test_render_background_returns_a_raster_of_its_own():
 
 def test_render_background_cache_stays_bounded():
     coeffs, spectrum, spec = _background_case(1, 1)
-    limit = spiral_imaging._background_profile.cache_info().maxsize
+    limit = field_grid._background_profile.cache_info().maxsize
     for k in range(limit + 4):
         render_background(coeffs, spectrum, spec, 0.1 + 0.05 * k)
-        assert spiral_imaging._background_profile.cache_info().currsize <= limit
+        assert field_grid._background_profile.cache_info().currsize <= limit
 
 
 def test_render_background_warns_on_every_call():

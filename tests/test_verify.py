@@ -1,6 +1,6 @@
 """The verify suites' own paths: the mode-math round-trip Gram (its failing path, and against a
-brute-force Gram), the discord-extremum sweep against the per-table discord, and the CSD
-deviations against their loop."""
+brute-force Gram), the discord-extremum sweep against the per-table discord, the CSD
+deviations against their loop, and the closed-forms check against a truncation too small for it."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ import pytest
 from oamghost.field_grid import BeamSpec, ModeClippedWarning, ModeIndex, default_grid, iter_lg_rasters
 from oamghost.quantum_correlations import discord_limit, geometric_discord_thermal
 from oamghost.thermal_source import CsdTensor, build_spectrum, csd_mode_decompose, oracle_grid, source_geometry
-from oamghost.verify import _csd_deviations, _round_trip_gram, suite_discord_extremum, suite_mode_math
+from oamghost.verify import (_csd_deviations, _round_trip_gram, suite_discord_extremum, suite_mode_math,
+                             suite_normalization)
 
 
 def _orthonormality(results):
@@ -80,3 +81,16 @@ def test_csd_deviations_match_the_loop_on_the_oracle_tensor(sigma_g):
     assert off == ref_off
     # t^(|l| + 2p) by numpy's power for a whole array may differ from Python's pow by one ulp of 1.
     assert abs(dev - ref_dev) <= 2.3e-16
+
+
+def test_closed_forms_check_reads_the_truncated_spectrum():
+    # The closed forms are full-lattice sums: at (3, 3) and t = 0.17 the truncated sum P falls
+    # 2.1e-3 short of (1 + t)/(1 - t), and the check must see it; at the suite's (60, 60) the
+    # truncation leaves out less than roundoff.
+    checks = {(l_max, p_max): {r.name: r for r in suite_normalization(l_max, p_max)}["closed-forms"]
+              for l_max, p_max in ((3, 3), (60, 60))}
+    assert not checks[3, 3].passed
+    assert "2.093e-03" in checks[3, 3].detail
+    assert checks[60, 60].passed
+    err = float(checks[60, 60].detail.split("= ")[1].split()[0])
+    assert err <= 2e-16
