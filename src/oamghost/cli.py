@@ -407,6 +407,8 @@ def _run_image(config: RunConfig) -> int:
 
 
 def _run_discord(config: RunConfig) -> int:
+    if not math.isfinite(config.sigma_g_max / config.sigma_s):  # the CSV's x column would read inf
+        raise ValueError(f"sigma_g_max / sigma_s = {config.sigma_g_max:g} / {config.sigma_s:g} overflows")
     sigma_gs = np.linspace(config.sigma_g_min, config.sigma_g_max, config.samples)
     rows = discord_curve(config.sigma_s, sigma_gs, [(config.l_max, config.p_max)])
     path = _out_path(config, "discord.csv")

@@ -91,7 +91,12 @@ class GridSpec:
 
     @property
     def pixel_area(self) -> float:
-        return self.pixel_pitch ** 2
+        """pitch^2; refused where it overflows, so no quadrature weights a pixel by inf."""
+        try:
+            return self.pixel_pitch ** 2
+        except OverflowError:
+            raise ValueError(f"pixel area overflows on the {self.side_points}^2 window of extent "
+                             f"{self.extent:g} m (pitch {self.pixel_pitch:g} m)") from None
 
     def axis(self) -> np.ndarray:
         """Pixel-center x coordinates, ascending left to right, exactly antisymmetric.

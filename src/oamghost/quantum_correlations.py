@@ -2,11 +2,12 @@
 
 The state is a diagonal classical mixture, rho_C = diag(P_i P_j), plus a
 rank-one pair projector, rho_Q = |v><v|, so both it and its separability
-certificate are kept as length-d and length-d^2 vectors; dense d^2 x d^2
-views are built only on request and only up to a size cap. Also provides
-Hilbert-Schmidt geometric discord in closed form from the spectrum sums
-sum P, sum P^2, sum P^4 (Dakic, Vedral & Brukner, PRL 105, 190502 (2010)),
-and a dense local-basis search oracle for small d.
+certificate are kept as length-d and length-d^2 vectors; each dense d^2 x d^2
+view is one (diag(a) + |v><v|) / s from _dense_view, built only on request
+and only up to a size cap. Also provides Hilbert-Schmidt geometric discord
+in closed form from the spectrum sums sum P, sum P^2, sum P^4 (Dakic,
+Vedral & Brukner, PRL 105, 190502 (2010)), and a dense local-basis search
+oracle for small d.
 """
 
 from __future__ import annotations
@@ -47,23 +48,26 @@ def mode_basis(l_max: int, p_max: int) -> list[tuple[int, int]]:
 DENSE_VIEW_MAX_DIM = 36  # largest d whose dense d^2 x d^2 views may be built
 
 
-def _check_dense(d: int) -> None:
+def _dense_view(diagonal: np.ndarray, pair: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
+    """(diag(diagonal) + |pair><pair|) / scale as a dense d^2 x d^2 array, for length-d^2 vectors.
+
+    The rank-one term is written on the support of pair only, and the diagonal
+    through one stride. Refused for d > DENSE_VIEW_MAX_DIM.
+    """
+    n = diagonal.size
+    d = math.isqrt(n)
     if d > DENSE_VIEW_MAX_DIM:
         raise ValueError(
             f"single-photon dimension d = {d} exceeds the dense-view cap {DENSE_VIEW_MAX_DIM} "
-            f"(operators would be {d * d} x {d * d}); lower l_max/p_max"
+            f"(operators would be {n} x {n}); lower l_max/p_max"
         )
-
-
-def _pair_block(values: np.ndarray, support: np.ndarray, d: int) -> np.ndarray:
-    """Dense d^2 x d^2 array, zero but for np.outer(values, values) at (support, support).
-
-    Equal entry for entry to np.outer(v, v) for the d^2 vector v that holds values
-    at support, without forming that outer product.
-    """
-    _check_dense(d)
-    dense = np.zeros((d * d, d * d))
-    dense[np.ix_(support, support)] = np.outer(values, values)
+    dense = np.zeros((n, n))
+    diagonal = diagonal.copy()
+    if pair is not None:
+        support = np.flatnonzero(pair)
+        dense[np.ix_(support, support)] = np.outer(pair[support], pair[support]) / scale
+        diagonal[support] += pair[support] ** 2
+    dense.flat[:: n + 1] = diagonal / scale
     return dense
 
 
@@ -94,18 +98,15 @@ class ThermalState:
 
     @property
     def rho_C(self) -> np.ndarray:
-        _check_dense(self.d)
-        return np.diag(np.kron(self.pvec, self.pvec))
+        return _dense_view(np.kron(self.pvec, self.pvec))
 
     @property
     def rho_Q(self) -> np.ndarray:
-        return _pair_block(self.pvec, np.arange(self.d) * self.d + self.partner, self.d)
+        return _dense_view(np.zeros(self.d * self.d), self.pair_vector)
 
     @property
     def rho(self) -> np.ndarray:
-        rho = self.rho_Q
-        rho[np.diag_indices_from(rho)] += np.kron(self.pvec, self.pvec)
-        return rho
+        return _dense_view(np.kron(self.pvec, self.pvec), self.pair_vector)
 
 
 def assemble_density(spectrum: SpiralSpectrum) -> ThermalState:
@@ -153,17 +154,11 @@ class SeparabilityCertificate:
 
     @property
     def rho_S_minus(self) -> np.ndarray:
-        _check_dense(math.isqrt(self.minus_diagonal.size))
-        return np.diag(self.minus_diagonal)
+        return _dense_view(self.minus_diagonal)
 
     @property
     def rho_S_plus(self) -> np.ndarray:
-        v = self.pair_vector
-        support = np.flatnonzero(v)
-        plus = _pair_block(v[support], support, math.isqrt(v.size))
-        plus[np.ix_(support, support)] /= 1.0 + self.R
-        plus[np.diag_indices_from(plus)] = (v * v + self.R * self.minus_diagonal) / (1.0 + self.R)
-        return plus
+        return _dense_view(self.R * self.minus_diagonal, self.pair_vector, 1.0 + self.R)
 
 
 def separability_decomposition(state: ThermalState) -> SeparabilityCertificate:
@@ -177,7 +172,7 @@ def separability_decomposition(state: ThermalState) -> SeparabilityCertificate:
     d = state.d
     classical = np.kron(state.pvec, state.pvec)  # diagonal of rho_C
     pairs = np.zeros(d * d)
-    pairs[np.arange(d) * d + np.arange(d)] = state.pvec ** 2
+    pairs[:: d + 1] = state.pvec ** 2  # |ii><ii| sits at i d + i
     v = state.pair_vector
     r = robustness(state.spectrum)
     minus = (classical - pairs) / r if r > 0.0 else np.zeros(d * d)
@@ -323,24 +318,17 @@ def brute_force_discord(
 def _truncated_sums(t: np.ndarray, l_max: int, p_max: int, k: int) -> np.ndarray:
     """sum P^k over the truncation for each decay ratio in t, with P = (1 - t^2) t^(|l| + 2p).
 
-    The lattice sum factorises as sum_l t^(k|l|) * sum_p t^(2kp); both are
-    summed term by term, which stays exact as t -> 1 where the geometric-series
-    closed form would cancel. The powers are running products of t^k and
-    t^(2k), so the term of order j carries about j eps relative error: at most
-    about max(l_max, p_max) eps, against one rounding for a pow per term.
+    The lattice sum factorises as sum_l t^(k|l|) * sum_p t^(2kp), two geometric
+    series in b = t^k and b^2, each summed in closed form as
+    sum_{j<=n} b^j = expm1((n + 1) log b) / expm1(log b). expm1 keeps this exact
+    as t -> 1, where (1 - b^(n+1)) / (1 - b) would cancel, and t = 0 gives
+    log b = -inf and each series its first term, 1.
     """
-    base = t ** k
-    return ((1.0 - t * t) ** k * (1.0 + 2.0 * _running_powers(base, l_max)[1:].sum(axis=0))
-            * _running_powers(base * base, p_max).sum(axis=0))
-
-
-def _running_powers(base: np.ndarray, n: int) -> np.ndarray:
-    """(n + 1, len(base)) powers base^0 ... base^n, each row the previous times base."""
-    powers = np.empty((n + 1, base.size))
-    powers[0] = 1.0
-    for j in range(n):  # row by row: np.cumprod along this axis runs about 5x slower
-        np.multiply(powers[j], base, out=powers[j + 1])
-    return powers
+    with np.errstate(divide="ignore"):  # log 0 = -inf
+        log_b = k * np.log(t)
+    l_sum, p_sum = (np.expm1((n + 1) * log) / np.expm1(log) for n, log in ((l_max, log_b), (p_max, 2.0 * log_b)))
+    # |l| <= l_max counts the terms j = 1..l_max twice: 2 sum_{j<=l_max} - 1.
+    return (1.0 - t * t) ** k * (2.0 * l_sum - 1.0) * p_sum
 
 
 def discord_curve(sigma_s: float, sigma_g_values, dimension_list) -> list[tuple]:
@@ -350,9 +338,9 @@ def discord_curve(sigma_s: float, sigma_g_values, dimension_list) -> list[tuple]
     of build_spectrum's table and D_inf is discord_limit, all computed for
     the whole sweep at once: t and D_inf by the formulas that source_geometry
     and discord_limit apply to one sample (so bit for bit the same), and the
-    three spectrum sums by _truncated_sums, whose running-product powers are
-    off by about max(L, P) eps relative per term. The widths are checked as
-    source_geometry checks them. Rows hold Python ints and floats.
+    three spectrum sums by _truncated_sums, whose closed-form series stay within
+    a few eps relative of the exact sums, whatever L and P. The widths are
+    checked as source_geometry checks them. Rows hold Python ints and floats.
     """
     sigma_gs = np.fromiter(sigma_g_values, dtype=float)
     _check_widths(sigma_s, sigma_gs)

@@ -307,7 +307,8 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
                                f"truncation captures {capture:.4f} of object power "
                                f"(floor 0.95, ceiling {1.0 + _NORM_TOLERANCE:g})"))
     defect, mode = max(_worst_norm_defect(beam, spec, z, l_max, p_max) for z in (-z1, z2))  # cached
-    results.append(CheckResult("basis-norm", defect <= _NORM_TOLERANCE,
+    orthonormal = defect <= _NORM_TOLERANCE
+    results.append(CheckResult("basis-norm", orthonormal,
                                f"max |norm^2 - 1| = {defect:.3e} at {mode} on the window "
                                f"at -z1 and +z2 (tol {_NORM_TOLERANCE:g})"))
 
@@ -350,15 +351,19 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
     mismatch = np.angle(pure_flat.samples[mask]) + np.angle(proj.samples[mask])
     mismatch = np.abs((mismatch + math.pi) % (2.0 * math.pi) - math.pi)
     phase_err = float(mismatch.max()) if mismatch.size else math.inf
-    results.append(CheckResult("phase-conjugation", phase_err <= 0.05,
+    # (c) and (d) compare the pure term with the object's projection, which tracks it on any window:
+    # 0 rad and Pearson >= 0.99 on every window from 2^2 to 64^2, where no mode is normalised. So
+    # both fail where basis-norm fails.
+    unresolved = "" if orthonormal else "; fails with basis-norm: the modes are not orthonormal on this window"
+    results.append(CheckResult("phase-conjugation", orthonormal and phase_err <= 0.05,
                                f"max |arg(pure) + arg(object proj)| = {phase_err:.3e} rad "
-                               "above 10% intensity (tol 0.05)"))
+                               f"above 10% intensity (tol 0.05){unresolved}"))
 
     # (d) thermal pure term still correlates with the truncated object.
     proj2 = np.abs(proj.samples) ** 2
     corr = float(np.corrcoef(pure2.ravel(), proj2.ravel())[0, 1])
-    results.append(CheckResult("intensity-correlation", corr >= 0.9,
-                               f"Pearson(|pure|^2, |object proj|^2) = {corr:.4f} (floor 0.9)"))
+    results.append(CheckResult("intensity-correlation", orthonormal and corr >= 0.9,
+                               f"Pearson(|pure|^2, |object proj|^2) = {corr:.4f} (floor 0.9){unresolved}"))
     return results
 
 

@@ -24,7 +24,11 @@ from oamghost.cli import (
     RunConfig,
     UsageError,
     _FLAGS,
+    _PARAMETERS,
+    _extent,
     _format_value,
+    _integer,
+    _number,
     _read_config_file,
     main,
     parse_config,
@@ -494,6 +498,55 @@ def test_oracle_csd_refuses_an_underflowing_sigma_g(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+# Every numeric parameter at the edges of the float range, on a window and truncation small enough
+# for all 4 x 14 x 7 runs to take about a second.
+FUZZ_FLAGS = {key: _FLAGS.get(key, "--" + key.replace("_", "-")) for rows in _PARAMETERS.values()
+              for key, parse, *_ in rows if parse in (_number, _integer, _extent)}
+FUZZ_VALUES = ["0", "5e-324", "1e-300", "1e300", "inf", "nan", "-1"]
+# What a refusal names: a key, a flag, or a quantity derived from them.
+NAMEABLE = [*FUZZ_FLAGS, *FUZZ_FLAGS.values(),
+            "object power", "captured fraction", "beam width", "Rayleigh range", "pixel area"]
+
+
+def _written_numbers(path):
+    """The numbers of a CSV (below its header) or of a `name = value` sidecar."""
+    lines = path.read_text().splitlines()
+    if path.suffix == ".csv":
+        return [float(cell) for line in lines[1:] for cell in line.split(",")]
+    return [float(line.partition("=")[2]) for line in lines if not line.startswith("#")]
+
+
+@pytest.mark.filterwarnings("ignore")  # clipped modes, coarse pitches and overflows at the extremes
+@pytest.mark.parametrize("command", ["image", "spectrum", "discord", "oracle-csd"])
+def test_every_numeric_parameter_at_extreme_values_exits_cleanly(tmp_path, capsys, command):
+    for flag in FUZZ_FLAGS.values():
+        for value in FUZZ_VALUES:
+            out = tmp_path / f"{flag}={value}"
+            code = main([command, "--grid", "32", "--l-max", "3", "--p-max", "3", "--samples", "5",
+                         "--out", str(out), f"{flag}={value}"])
+            printed = capsys.readouterr()
+            case = f"{command} {flag}={value}: exit {code}, {printed.err!r}"
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO), case
+            assert "Traceback" not in printed.out + printed.err, case
+            if code != EXIT_OK:
+                assert not out.exists() or list(out.iterdir()) == [], case
+            if code == EXIT_USAGE:
+                named = (re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", printed.err) for name in NAMEABLE)
+                assert any(named), case
+            for path in out.glob("*") if code == EXIT_OK else ():
+                if path.suffix == ".csv" or path.name.endswith("_scaling.txt"):  # the manifest may echo inf
+                    assert all(map(math.isfinite, _written_numbers(path))), (case, path.name)
+
+
+@pytest.mark.filterwarnings("ignore")  # the pitch, the clipped modes and the overflowing kernel
+def test_oracle_csd_names_a_window_whose_pixel_area_overflows(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["oracle-csd", "--extent", "1e300", "--grid", "32", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: pixel area overflows on the 32^2 window of extent 1e+300 m")
+    assert list(out.iterdir()) == []
+
+
 def test_oracle_csd_run(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["oracle-csd", "--l-max", "1", "--p-max", "1", "--grid", "64",
@@ -525,11 +578,17 @@ def test_verify_imaging_on_a_window_of_fewer_than_16_pixels(tmp_path, capsys, gr
     # The background oracle drew 16 distinct pixels, more than a 2^2 or 3^2 window holds. Each of
     # these windows undersamples the modes: the capture falls under its floor at 2^2 and 4^2 and
     # rises over its ceiling at 3^2 and 64^2, where orthonormal modes would capture at most all of it.
+    # The pure term still tracks the object's projection there (0 rad, Pearson >= 0.99), so the
+    # phase and correlation checks fail with basis-norm, not on their own figures.
     with pytest.warns(ModeClippedWarning):
         code = main(["verify", "--suite", "imaging", "--grid", grid, "--out", str(tmp_path)])
     assert code == EXIT_VERIFY
     out = capsys.readouterr().out
     assert "[FAIL] basis-norm" in out
+    for name in ("phase-conjugation", "intensity-correlation"):
+        (line,) = [line for line in out.splitlines() if f"] {name}: " in line]
+        assert line.startswith("[FAIL]")
+        assert line.endswith("; fails with basis-norm: the modes are not orthonormal on this window")
     capture = {"2": "0.0141", "3": "822.1276", "4": "0.0032", "64": "1.8783"}[grid]
     assert (f"[FAIL] mode-capture: truncation captures {capture} of object power (floor 0.95, ceiling 1.001)"
             in out)

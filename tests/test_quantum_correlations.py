@@ -9,6 +9,7 @@ import pytest
 
 import oamghost
 from oamghost.quantum_correlations import (
+    _truncated_sums,
     assemble_density,
     brute_force_discord,
     discord_curve,
@@ -357,6 +358,7 @@ def test_discord_curve_matches_per_table_discord(dims):
         assert abs(row[5] - geometric_discord_pure(spec)) <= 1e-14
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # log 0 at t = 0, expm1 of about -eps at t = 1 - eps
 def test_discord_curve_coherent_and_subnormal_widths_keep_the_per_sample_rows():
     # sigma_g = inf is the coherent limit t = 0, where every discord is 0. At 1e-300 and 5e-324
     # beta rounds to pi/2 and t to 1 - eps, not 1: values recorded from the
@@ -373,6 +375,19 @@ def test_discord_curve_coherent_and_subnormal_widths_keep_the_per_sample_rows():
     for row, want in zip(rows, expect):
         assert row[:4] == want[:4]
         assert row[4:] == pytest.approx(want[4:], rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("l_max, p_max", [(60, 60), (200, 100)])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_truncated_sums_match_the_exactly_summed_series(l_max, p_max, k):
+    # From t = 0 to 1 - 1e-12, where (1 - b^(n+1)) / (1 - b) would cancel, and a subnormal t.
+    # Running products of t^k, summed term by term, read up to 7.2e-15 at (60, 60) and 1.5e-14 at (200, 100).
+    ts = np.concatenate([np.linspace(0.0, 0.999, 200), 1.0 - np.logspace(-12, -2, 41), [5e-324]])
+    for t, value in zip(ts.tolist(), _truncated_sums(ts, l_max, p_max, k).tolist()):
+        l_series = 1.0 + 2.0 * math.fsum(t ** (k * j) for j in range(1, l_max + 1))
+        p_series = math.fsum(t ** (2 * k * j) for j in range(p_max + 1))
+        exact = (1.0 - t * t) ** k * l_series * p_series
+        assert abs(value - exact) <= 2e-15 * exact, t
 
 
 def test_discord_curve_rows_hold_python_numbers():
