@@ -24,7 +24,6 @@ import numpy as np
 from .field_grid import (
     BeamSpec,
     GridSpec,
-    _worst_norm_defect,
     default_grid,
     intensity_and_phase,
     write_field,
@@ -177,22 +176,19 @@ RunConfig = make_dataclass(
 
 
 def _build_parser() -> _Parser:
-    shared = _Parser(add_help=False)
+    """One parser: the command is its first positional, and options may come before or after it."""
+    commands = "\n".join(f"  {command:<12}{help}" for command, (_, help) in _COMMANDS.items())
+    parser = _Parser(prog="oamghost", description="Thermal ghost imaging in the orbital-angular-momentum basis.",
+                     epilog="commands:\n" + commands, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", nargs="?", choices=_COMMANDS, help="one of the commands below")
     for title, rows in _PARAMETERS.items():
-        g = shared.add_argument_group(title)
+        g = parser.add_argument_group(title)
         for key, parse, _, metavar, help in rows:
             flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
             how = {"action": "store_true"} if parse is _boolean else {"type": parse, "metavar": metavar}
             g.add_argument(flag, dest=key, default=None, help=help, **how)
         if title == "input and output":
-            g.add_argument("--config", dest="config", metavar="FILE",
-                           help="read 'key = value' defaults from FILE")
-
-    parser = _Parser(prog="oamghost",
-                     description="Thermal ghost imaging in the orbital-angular-momentum basis.")
-    sub = parser.add_subparsers(dest="command")
-    for command, (_, help) in _COMMANDS.items():
-        sub.add_parser(command, parents=[shared], help=help)
+            g.add_argument("--config", metavar="FILE", help="read 'key = value' defaults from FILE")
     return parser
 
 
@@ -361,8 +357,7 @@ def _run_image(config: RunConfig) -> int:
     capture = coeffs.power() / obj_power
     if not (capture > 0.0 and math.isfinite(capture)):  # e.g. coefficients that square to 0
         raise ValueError(f"captured fraction {window} is {capture:g}, not positive and finite: {cause}")
-    defect, mode = max(_worst_norm_defect(beam, spec, z, config.l_max, config.p_max)
-                       for z in (-config.z1, config.z2))  # read from the passes' cache
+    defect, mode = result.worst_norm
     pure_inten, pure_phase = intensity_and_phase(result.pure_field)
 
     emitted = []
@@ -407,8 +402,6 @@ def _run_image(config: RunConfig) -> int:
 
 
 def _run_discord(config: RunConfig) -> int:
-    if not math.isfinite(config.sigma_g_max / config.sigma_s):  # the CSV's x column would read inf
-        raise ValueError(f"sigma_g_max / sigma_s = {config.sigma_g_max:g} / {config.sigma_s:g} overflows")
     sigma_gs = np.linspace(config.sigma_g_min, config.sigma_g_max, config.samples)
     rows = discord_curve(config.sigma_s, sigma_gs, [(config.l_max, config.p_max)])
     path = _out_path(config, "discord.csv")
@@ -470,34 +463,28 @@ _COMMANDS = {
 }
 
 
+def _refuse(exc: Exception) -> int:
+    """Print the one `error: ` line for exc; returns EXIT_IO for an OSError, else EXIT_USAGE."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
+
+
 def run_command(config: RunConfig) -> int:
     """Dispatch a resolved RunConfig; returns the process exit code."""
     try:
         os.makedirs(config.out, exist_ok=True)
         if not os.access(config.out, os.W_OK):
             raise OSError(f"output directory {config.out!r} is not writable")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
         return _COMMANDS[config.command][0](config)
-    except (UsageError, ValueError, ArithmeticError) as exc:  # ArithmeticError: an overflow no check names
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (UsageError, ValueError, ArithmeticError, OSError) as exc:
+        return _refuse(exc)  # ArithmeticError: an overflow no check names
 
 
 def main(argv=None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (UsageError, OSError) as exc:
+        return _refuse(exc)
     return run_command(config)
 
 

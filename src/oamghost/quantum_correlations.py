@@ -340,12 +340,18 @@ def discord_curve(sigma_s: float, sigma_g_values, dimension_list) -> list[tuple]
     and discord_limit apply to one sample (so bit for bit the same), and the
     three spectrum sums by _truncated_sums, whose closed-form series stay within
     a few eps relative of the exact sums, whatever L and P. The widths are
-    checked as source_geometry checks them. Rows hold Python ints and floats.
+    checked as source_geometry checks them, and a finite sigma_g whose ratio
+    overflows is refused (sigma_g = inf, the coherent limit, keeps its row).
+    Rows hold Python ints and floats.
     """
     sigma_gs = np.fromiter(sigma_g_values, dtype=float)
     _check_widths(sigma_s, sigma_gs)
+    with np.errstate(over="ignore"):  # refused below
+        ratios = sigma_gs / sigma_s
+    bad = np.flatnonzero(np.isinf(ratios) & np.isfinite(sigma_gs))
+    if bad.size:
+        raise ValueError(f"sigma_g / sigma_s = {sigma_gs[bad[0]]:g} / {sigma_s:g} overflows")
     _, t = _beta_and_t(sigma_s, sigma_gs)
-    ratios = sigma_gs / sigma_s
     d_inf = _limit_at_ratio(ratios).tolist()
     columns = []
     for l_max, p_max in dimension_list:

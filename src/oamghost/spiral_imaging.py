@@ -14,9 +14,9 @@ sum P |LG|^2 over the radius shells (_background_profile, _shells) onto the
 window. This module keeps the imaging physics: the object's plane, the image
 table P conj(A) of the modes (-l, p), the background weight sum P |A|^2,
 which alone depends on the object, the two-term total and the PGM files.
-Every pass judges its window itself (_warn_if_clipped). On a 2-vCPU x86-64
-host a coherent pass at 256^2 with l_max = 5, p_max = 9 takes about
-0.4-0.6 ms.
+Every pass judges its window itself (_warn_if_clipped), and render_total
+returns the verdict of the worse plane. On a 2-vCPU x86-64 host a coherent
+pass at 256^2 with l_max = 5, p_max = 9 takes about 0.4-0.6 ms.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .field_grid import (
     _lattice_table,
     _shells,
     _warn_if_clipped,
+    _worst_norm_defect,
 )
 from .thermal_source import SpiralSpectrum, SourceGeometry, build_spectrum
 
@@ -86,8 +87,12 @@ class ModeCoefficients:
 @dataclass(frozen=True)
 class GhostImageResult:
     """Rendered pure field, background raster, their combined intensity, the
-    object-dependent background weight, and the object and image mode tables
-    they were synthesized from."""
+    object-dependent background weight, the object and image mode tables
+    they were synthesized from, and the window's verdict on the modes.
+
+    worst_norm is (|norm^2 - 1|, "LG(+-l, p)") of the worst-sampled mode at
+    either plane, -z1 or +z2: the window is as good as its worse plane.
+    """
 
     pure_field: ComplexField
     background: np.ndarray
@@ -95,6 +100,7 @@ class GhostImageResult:
     background_weight: float
     object_coefficients: ModeCoefficients
     image_coefficients: ModeCoefficients
+    worst_norm: tuple[float, str]
 
 
 def load_object(intensity, phase, spec: GridSpec) -> ComplexField:
@@ -222,7 +228,7 @@ def render_total(
     Decomposes the object at -z1 with the matched-waist beam, filters by the
     thermal spiral spectrum, and synthesizes the pure term and the background
     at +z2, all on the object's grid. The result also carries the object and
-    image mode tables.
+    image mode tables and the worst mode norm over both planes.
     """
     beam = BeamSpec(geometry.matched_waist, wavelength)
     spectrum = build_spectrum(geometry, l_max, p_max)
@@ -231,7 +237,8 @@ def render_total(
     pure = render_pure_image(image, obj.spec, z2)
     background, weight = render_background(coeffs, spectrum, obj.spec, z2)
     total = background + pure.samples.real ** 2 + pure.samples.imag ** 2
-    return GhostImageResult(pure, background, total, weight, coeffs, image)
+    worst = max(_worst_norm_defect(beam, obj.spec, z, l_max, p_max) for z in (coeffs.plane, z2))  # cached
+    return GhostImageResult(pure, background, total, weight, coeffs, image, worst)
 
 
 def write_pgm16(path, data, lo: float | None = None, hi: float | None = None) -> tuple[float, float]:

@@ -226,8 +226,9 @@ def csd_mode_decompose(geometry: SourceGeometry, l_max: int, p_max: int, spec: G
 
     This is a cross-check oracle, not a production path: truncations or grids
     beyond its runtime budget (l_max, p_max <= 10, side_points <= 512) are
-    refused.
+    refused, and so is a window whose pixel area overflows, before any warning.
     """
+    spec.pixel_area  # raises ValueError where pitch^2 overflows
     n_modes = math.prod(_lattice_shape(l_max, p_max))
     if l_max > 10 or p_max > 10 or spec.side_points > 512:
         raise ValueError(

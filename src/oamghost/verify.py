@@ -8,6 +8,7 @@ on what was checked; run_suite also times each suite against its budget.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import time
@@ -20,7 +21,6 @@ from .field_grid import (
     GridSpec,
     ModeIndex,
     _NORM_TOLERANCE,
-    _worst_norm_defect,
     default_grid,
     lg_amplitude,
 )
@@ -171,28 +171,28 @@ def suite_normalization(l_max: int = 60, p_max: int = 60) -> list[CheckResult]:
 
 _SEPARABILITY_SHAPES = [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4),
                         (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]
+_SEPARABILITY_TRIALS = 12
 
 
 def suite_separability(l_max: int | None = None, p_max: int | None = None,
-                       seed: int = 0, trials: int = 12) -> list[CheckResult]:
+                       seed: int = 0) -> list[CheckResult]:
     """Explicit separable decompositions of the truncated two-beam state.
 
-    Randomized truncations (all with d <= 16 unless l_max and p_max are
-    given) and coherence parameters, each with (sum P)^2 > 1 so the
-    construction applies; checks reconstruction to 1e-12 and positive
-    semidefiniteness of both separable pieces, by eigvalsh on the dense views
-    up to the dense-view cap and by the exact diagonal-plus-rank-one
-    criterion above it. Also checks the closed-form robustness R = 1 at
+    _SEPARABILITY_TRIALS randomized truncations (all with d <= 16 unless
+    l_max and p_max are given) and coherence parameters, each with
+    (sum P)^2 > 1 so the construction applies; checks reconstruction to
+    1e-12 and positive semidefiniteness of both separable pieces, by eigvalsh
+    on the dense views up to the dense-view cap and by the exact
+    diagonal-plus-rank-one criterion above it. Also checks the closed-form robustness R = 1 at
     sigma_g = 2 sigma_s on the full lattice.
     """
     results = []
     rng = np.random.default_rng(seed)
     worst_res = 0.0
     worst_eig = 0.0
-    shapes = [(l_max, p_max)] * trials if l_max is not None and p_max is not None else None
-    for k in range(trials):
-        if shapes is not None:
-            lm, pm = shapes[k]
+    for k in range(_SEPARABILITY_TRIALS):
+        if l_max is not None and p_max is not None:
+            lm, pm = l_max, p_max
         else:
             lm, pm = _SEPARABILITY_SHAPES[rng.integers(len(_SEPARABILITY_SHAPES))]
         # Draw t directly, then recover sigma_g: with u = sqrt(t),
@@ -221,7 +221,7 @@ def suite_separability(l_max: int | None = None, p_max: int | None = None,
             lows = [low, cert.R * low / (1.0 + cert.R)]
         worst_eig = min(worst_eig, *lows)
     results.append(CheckResult("reconstruction", worst_res <= 1e-12,
-                               f"max residual {worst_res:.3e} over {trials} trials (tol 1e-12)"))
+                               f"max residual {worst_res:.3e} over {_SEPARABILITY_TRIALS} trials (tol 1e-12)"))
     results.append(CheckResult("psd", worst_eig >= -1e-10,
                                f"min eigenvalue {worst_eig:.3e} (floor -1e-10)"))
     geo = source_geometry(1e-3, 2e-3)
@@ -232,19 +232,21 @@ def suite_separability(l_max: int | None = None, p_max: int | None = None,
     return results
 
 
-def suite_discord_oracle(seed: int = 0, restarts: int = 6, iterations: int = 400) -> list[CheckResult]:
+def suite_discord_oracle(seed: int = 0) -> list[CheckResult]:
     """Brute-force measurement search against the closed-form discord.
 
     Bell state first (known discord 1/2), then the truncated thermal state on
     d = 2, 4 and 6 (l_max 0, p_max 1, 3, 5) at sigma_g = 0.5 sigma_s, and at
     d = 4 and 6 again after a seeded Haar-random unitary on side B. The
     Jacobi search converges to the closed form to roundoff, so the search
-    result must match it within 1e-10 on either side.
+    result must match it within 1e-10 on either side. Each search runs 6
+    seeded restarts of at most 400 sweeps.
     """
+    search = functools.partial(brute_force_discord, restarts=6, iterations=400, seed=seed)
     results = []
     v = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     bell = np.outer(v, v)
-    got = brute_force_discord(bell, 2, restarts=restarts, iterations=iterations, seed=seed)
+    got = search(bell, 2)
     results.append(CheckResult("bell", abs(got - 0.5) <= 1e-10,
                                f"discord {got:.12f} vs 1/2 (tol 1e-10)"))
     geo = source_geometry(1e-3, 0.5e-3)
@@ -255,7 +257,7 @@ def suite_discord_oracle(seed: int = 0, restarts: int = 6, iterations: int = 400
         rho = state.rho / state.trace_rho
         d = state.d
         closed = geometric_discord_thermal(spec)
-        got = brute_force_discord(rho, d, restarts=restarts, iterations=iterations, seed=seed)
+        got = search(rho, d)
         diff = got - closed
         results.append(CheckResult(
             f"thermal-d{d}", -1e-10 <= diff <= 1e-10,
@@ -266,8 +268,7 @@ def suite_discord_oracle(seed: int = 0, restarts: int = 6, iterations: int = 400
             z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             q, r = np.linalg.qr(z)
             local = np.kron(np.eye(d), q * (np.diagonal(r) / np.abs(np.diagonal(r))))
-            got = brute_force_discord(local @ rho @ local.conj().T, d, restarts=restarts,
-                                      iterations=iterations, seed=seed)
+            got = search(local @ rho @ local.conj().T, d)
             diff = got - closed
             results.append(CheckResult(
                 f"thermal-d{d}-rotated", -1e-10 <= diff <= 1e-10,
@@ -306,7 +307,7 @@ def suite_imaging(side_points: int = 512, l_max: int = 20, p_max: int = 20,
     results.append(CheckResult("mode-capture", 0.95 <= capture <= 1.0 + _NORM_TOLERANCE,
                                f"truncation captures {capture:.4f} of object power "
                                f"(floor 0.95, ceiling {1.0 + _NORM_TOLERANCE:g})"))
-    defect, mode = max(_worst_norm_defect(beam, spec, z, l_max, p_max) for z in (-z1, z2))  # cached
+    defect, mode = result.worst_norm
     orthonormal = defect <= _NORM_TOLERANCE
     results.append(CheckResult("basis-norm", orthonormal,
                                f"max |norm^2 - 1| = {defect:.3e} at {mode} on the window "

@@ -23,6 +23,7 @@ from oamghost.cli import (
     EXIT_VERIFY,
     RunConfig,
     UsageError,
+    _COMMANDS,
     _FLAGS,
     _PARAMETERS,
     _extent,
@@ -230,6 +231,36 @@ def test_usage_exit_codes(tmp_path, capsys):
     assert "sigma_s" in err
 
 
+@pytest.mark.parametrize("argv", [[], ["nope"]])
+def test_a_missing_or_unknown_command_names_every_command(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(command in err for command in _COMMANDS)
+
+
+def test_help_lists_every_command_with_its_help_line(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["-h"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    for command, (_, help) in _COMMANDS.items():
+        assert re.search(rf"^ +{re.escape(command)} +{re.escape(help)}$", out, re.M), command
+    for key in DEFAULTS:
+        assert _FLAGS.get(key, "--" + key.replace("_", "-")) in out, key
+
+
+def test_options_may_come_before_the_command(tmp_path, capsys):
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert main(["--grid", "32", "--out", str(before), "spectrum"]) == EXIT_OK
+    assert main(["spectrum", "--grid", "32", "--out", str(after)]) == EXIT_OK
+    capsys.readouterr()
+    names = sorted(path.name for path in before.iterdir())
+    assert names == sorted(path.name for path in after.iterdir())
+    for name in names:
+        assert ((before / name).read_text().replace(str(before), "OUT")
+                == (after / name).read_text().replace(str(after), "OUT")), name
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "nope.cfg")]) == EXIT_IO
 
@@ -239,6 +270,14 @@ def test_non_utf8_config_file_is_usage_error(tmp_path, capsys):
     cfg.write_bytes(b"\xff\xfez\x001\x00 \x00=\x00 \x000\x00.\x005\x00\n\x00")
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
     assert "utf16.cfg" in capsys.readouterr().err
+
+
+def test_config_out_with_a_nul_byte_exits_1_without_traceback(tmp_path, capsys):
+    # os.makedirs raises ValueError, not OSError, for a path holding a NUL byte.
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_bytes(b"out = " + str(tmp_path).encode() + b"/a\x00b\n")
+    assert main(["spectrum", "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: embedded null byte\n"
 
 
 def test_garbage_object_pgm_exits_1_without_traceback(tmp_path):
@@ -538,7 +577,7 @@ def test_every_numeric_parameter_at_extreme_values_exits_cleanly(tmp_path, capsy
                     assert all(map(math.isfinite, _written_numbers(path))), (case, path.name)
 
 
-@pytest.mark.filterwarnings("ignore")  # the pitch, the clipped modes and the overflowing kernel
+@pytest.mark.filterwarnings("error")  # refused before the pitch, the clipped modes and the overflowing kernel warn
 def test_oracle_csd_names_a_window_whose_pixel_area_overflows(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["oracle-csd", "--extent", "1e300", "--grid", "32", "--out", str(out)]) == EXIT_USAGE

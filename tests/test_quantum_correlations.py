@@ -390,6 +390,20 @@ def test_truncated_sums_match_the_exactly_summed_series(l_max, p_max, k):
         assert abs(value - exact) <= 2e-15 * exact, t
 
 
+@pytest.mark.filterwarnings("error")
+def test_discord_curve_refuses_a_ratio_that_overflows():
+    # sigma_g / sigma_s is the row's first column; a finite sigma_g over a subnormal sigma_s overflows it.
+    with pytest.raises(ValueError, match=r"sigma_g / sigma_s = 0\.0002 / 4\.94066e-324 overflows"):
+        discord_curve(5e-324, [2e-4], [(3, 3)])
+
+
+@pytest.mark.filterwarnings("error")
+def test_discord_curve_keeps_the_coherent_limit_beside_a_finite_width():
+    rows = discord_curve(SIGMA_S, [math.inf, 2e-4], [(3, 3)])
+    assert [row[:4] for row in rows] == [(math.inf, 3, 3, 28), (0.2, 3, 3, 28)]
+    assert rows[0][4:] == (0.0, 0.0, 0.0)
+
+
 def test_discord_curve_rows_hold_python_numbers():
     rows = discord_curve(SIGMA_S, np.linspace(3e-4, 3e-3, 5), [(0, 0), (3, 2)])
     rows += discord_curve(SIGMA_S, (g for g in [math.inf, 1e-3]), [(1, 1)])

@@ -283,6 +283,18 @@ def test_render_total_two_term_identity():
     assert result.background_weight > 0
 
 
+def test_render_total_judges_the_window_by_its_worse_plane():
+    # The CLI's 112^2 window at sigma_g = 25 um is sized for the farther plane, z2 = 0.5 m: the modes
+    # at -z1 = -0.3 m are undersampled there, while at +z2 alone the worst defect is 1.2e-4.
+    geo = source_geometry(1e-3, 2.5e-5)
+    beam = BeamSpec(geo.matched_waist)
+    spec = default_grid(beam, 20, 20, 112, 0.5, 7.5e-4)
+    with pytest.warns(ModeClippedWarning, match="z=-0.3 m"):
+        result = render_total(clover_object(spec, 7.5e-4), geo, 0.3, 0.5, 20, 20)
+    defect, mode = result.worst_norm
+    assert defect == pytest.approx(0.1192, abs=1e-4) and mode == "LG(0, 15)"
+
+
 def test_render_total_matches_explicit_pipeline():
     spec = small_grid(96)
     obj = clover_object(spec, 8e-4)

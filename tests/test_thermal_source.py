@@ -215,6 +215,14 @@ def test_csd_decomposition_refuses_an_underflowing_sigma_g():
         csd_mode_decompose(geo, 0, 0, GridSpec(32, 1e-2))
 
 
+@pytest.mark.filterwarnings("error")
+def test_csd_decomposition_refuses_an_overflowing_pixel_area_before_any_warning():
+    # The 3e298 m pitch would also warn of the coherence width, the clipped modes and overflows.
+    geo = source_geometry(SIGMA_S, 2.5e-5)
+    with pytest.raises(ValueError, match="pixel area overflows on the 32\\^2 window of extent 1e\\+300 m"):
+        csd_mode_decompose(geo, 3, 3, GridSpec(32, 1e300))
+
+
 # A 32^2 window of 1 cm cannot sample a 45 um waist: the mode guard fires too.
 @pytest.mark.filterwarnings("ignore::oamghost.field_grid.ModeClippedWarning")
 def test_csd_decomposition_warns_on_unresolved_coherence():
